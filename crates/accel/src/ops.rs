@@ -369,12 +369,17 @@ pub fn delta_fd_flops_with(model: &RobotModel, backend: DerivBackend) -> f64 {
     delta_id_flops(model, backend) + (total.mul + total.add) as f64 + 4.0 * nv * nv * nv
 }
 
+/// Dense `nv×nv` products in the RK4 sensitivity chain of one step:
+/// none at stage 1 (its sensitivities are ΔFD's own output), three at
+/// stage 2 (`J_q̇·s_q̇₂` per block) and six at each of stages 3 and 4
+/// (`J_q·s_q + J_q̇·s_q̇` per block).
+const RK4_SENS_CHAIN_PRODUCTS: usize = 3 + 6 + 6;
+
 /// Estimated flop count of one RK4-with-sensitivity sampling point (the
 /// iLQR LQ approximation's per-point unit): four serial ΔFD stage
-/// evaluations plus the chain-rule products that combine them (~6
-/// `nv×nv` matrix products per stage over the three sensitivity
-/// blocks). Install into `BatchEval::set_point_flops` before batching
-/// LQ points.
+/// evaluations plus the 15 `nv×nv` chain-rule products (`2·nv³` flops
+/// each) that combine them. Install into
+/// `BatchEval::set_point_flops` before batching LQ points.
 pub fn rk4_sens_point_flops(model: &RobotModel) -> f64 {
     rk4_sens_point_flops_with(model, DerivBackend::default())
 }
@@ -383,7 +388,7 @@ pub fn rk4_sens_point_flops(model: &RobotModel) -> f64 {
 /// stage ΔFD evaluations.
 pub fn rk4_sens_point_flops_with(model: &RobotModel, backend: DerivBackend) -> f64 {
     let nv = model.nv() as f64;
-    4.0 * delta_fd_flops_with(model, backend) + 48.0 * nv * nv * nv
+    4.0 * delta_fd_flops_with(model, backend) + RK4_SENS_CHAIN_PRODUCTS as f64 * 2.0 * nv * nv * nv
 }
 
 /// `Af_i`/`Ab_i` — articulated-body (ABA) per-body cost: pass 1
@@ -532,6 +537,19 @@ mod tests {
         use rbd_model::robots;
         let m = robots::iiwa();
         assert!(rk4_sens_point_flops(&m) > 4.0 * delta_fd_flops(&m));
+    }
+
+    #[test]
+    fn rk4_point_counts_fifteen_chain_products() {
+        // The structured chain: 0 + 3 + 6 + 6 products of 2·nv³ flops on
+        // top of the four ΔFD stages (the dense chain had 24).
+        use rbd_model::robots;
+        assert_eq!(RK4_SENS_CHAIN_PRODUCTS, 15);
+        for m in [robots::iiwa(), robots::quadruped_arm(), robots::atlas()] {
+            let nv = m.nv() as f64;
+            let chain = rk4_sens_point_flops(&m) - 4.0 * delta_fd_flops(&m);
+            assert_eq!(chain, 30.0 * nv * nv * nv, "{}", m.name());
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Derivative-throughput benchmark: single-thread latency of the
 //! ΔRNEA/ΔFD kernels (allocating wrappers, the zero-allocation `*_into`
-//! fast path, and both ΔID backends explicitly) plus batched
-//! multi-thread throughput through `BatchEval`, emitting a
+//! fast path, and both ΔID backends explicitly), batched multi-thread
+//! throughput through `BatchEval` and the RK4-with-sensitivity step
+//! built on them (`integrator/*/rk4_sens`), emitting a
 //! machine-readable `BENCH_derivatives.json` so future PRs have a perf
 //! trajectory to compare against. The report embeds host metadata (CPU
 //! count, `RBD_*` knobs, ISO-8601 timestamp) so committed rows are
@@ -17,7 +18,9 @@ use rbd_dynamics::{
     LaneRolloutScratch, RneaDerivatives, SamplePoint,
 };
 use rbd_model::{random_state, robots, RobotModel};
-use rbd_trajopt::{Mppi, MppiOptions};
+use rbd_trajopt::{
+    rk4_step_with_sensitivity_into, Mppi, MppiOptions, Rk4SensScratch, StepJacobians,
+};
 
 /// Samples per lane-rollout / MPPI row (matches the `dFD_batch64` rows).
 const ROLLOUT_SAMPLES: usize = 64;
@@ -182,6 +185,41 @@ fn main() {
                 std::hint::black_box(mppi.iterate(&q0, &qd0));
             });
         }
+        report.merge(group.finish());
+    }
+
+    // L3 integrator rows: one RK4 step with its discrete Jacobians per
+    // sample (four serial ΔFD stages plus the sensitivity chain), on the
+    // three paper robots and the Fig 3 quadruped-arm (nv = 24).
+    for model in [
+        robots::iiwa(),
+        robots::hyq(),
+        robots::quadruped_arm(),
+        robots::atlas(),
+    ] {
+        let mut group = Bench::new(format!("integrator/{}", model.name()));
+        let mut ws = DynamicsWorkspace::new(&model);
+        let mut scratch = Rk4SensScratch::for_model(&model);
+        let s = random_state(&model, 1);
+        let nv = model.nv();
+        let tau: Vec<f64> = (0..nv).map(|k| 0.5 - 0.05 * k as f64).collect();
+        let mut q_new = vec![0.0; model.nq()];
+        let mut qd_new = vec![0.0; nv];
+        let mut jac = StepJacobians::zeros(nv);
+        group.bench("rk4_sens", || {
+            rk4_step_with_sensitivity_into(
+                &model,
+                &mut ws,
+                &mut scratch,
+                &s.q,
+                &s.qd,
+                &tau,
+                0.01,
+                &mut q_new,
+                &mut qd_new,
+                &mut jac,
+            );
+        });
         report.merge(group.finish());
     }
     report

@@ -94,6 +94,8 @@ impl WorkerPool {
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
+                    // The allocation-counting tests recognize pool
+                    // workers by this name prefix.
                     .name(format!("rbd-batch-{w}"))
                     .spawn(move || worker_loop(&shared, w))
                     .expect("spawn batch worker")

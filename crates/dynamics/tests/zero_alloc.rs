@@ -2,9 +2,15 @@
 //! allocation: a counting global allocator watches every alloc while the
 //! hot paths run against reused workspaces/outputs.
 //!
-//! Kept as a single `#[test]` so no concurrently running test can
-//! pollute the process-global counter.
+//! The tests share one process and run on libtest's parallel threads;
+//! `support/counting_alloc.rs` counts only the running test's own
+//! threads and serializes the test bodies, so the counts hold under the
+//! default harness.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{alloc_count, serial};
 use rbd_dynamics::{
     bias_force_in_ws, crba_into, fd_derivatives_into, fd_derivatives_with_algo_into,
     fd_derivatives_with_minv_into, forward_dynamics_into, mminv_gen_into,
@@ -14,46 +20,35 @@ use rbd_dynamics::{
 };
 use rbd_model::{random_state, robots};
 use rbd_spatial::MatN;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns how many allocator calls it made.
-fn alloc_count(mut f: impl FnMut()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    f();
-    ALLOC_CALLS.load(Ordering::Relaxed) - before
+#[test]
+fn counting_harness_sees_pool_worker_allocations() {
+    // The multi-worker proofs are only as strong as the harness: one
+    // allocation per item, spread over four executors (the caller and
+    // three pool workers), must count exactly once each.
+    let _serial = serial();
+    let model = robots::iiwa();
+    let mut batch = BatchEval::with_threads(&model, 4).with_point_flops(1e9);
+    let items = [0u8; 4];
+    let mut outs = [0usize; 4];
+    let mut scratch = [(); 4];
+    let mut run = || {
+        let r: Result<(), ()> =
+            batch.for_each_with_scratch(&items, &mut outs, &mut scratch, |_, _, _, k, _, out| {
+                *out = std::hint::black_box(vec![k; 1]).len();
+                Ok(())
+            });
+        r.unwrap();
+    };
+    run(); // warm-up
+    let count = alloc_count(run);
+    assert_eq!(batch.last_workers(), 4, "all four executors engaged");
+    assert_eq!(count, 4, "one counted allocation per item");
 }
 
 #[test]
 fn steady_state_kernels_do_not_allocate() {
+    let _serial = serial();
     for model in [robots::iiwa(), robots::hyq(), robots::atlas()] {
         let mut ws = DynamicsWorkspace::new(&model);
         let nv = model.nv();
@@ -170,6 +165,7 @@ fn steady_state_kernels_do_not_allocate() {
 
 #[test]
 fn lane_kernels_do_not_allocate_in_steady_state() {
+    let _serial = serial();
     use rbd_dynamics::{
         aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_into,
         rk4_rollout_lanes_into, rnea_lanes_in_ws, LaneRolloutScratch, RolloutScratch,
@@ -319,6 +315,7 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
 
 #[test]
 fn single_worker_batch_does_not_allocate_in_steady_state() {
+    let _serial = serial();
     let model = robots::hyq();
     let nv = model.nv();
     let tau: Vec<f64> = (0..nv).map(|k| 0.1 * k as f64).collect();
@@ -334,14 +331,13 @@ fn single_worker_batch_does_not_allocate_in_steady_state() {
     // Warm-up sizes everything.
     batch.fd_derivatives_batch(&points, &mut outs).unwrap();
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    batch.fd_derivatives_batch(&points, &mut outs).unwrap();
-    let count = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let count = alloc_count(|| batch.fd_derivatives_batch(&points, &mut outs).unwrap());
     assert_eq!(count, 0, "single-worker batch allocated {count} time(s)");
 }
 
 #[test]
 fn batch_in_place_ldlt_does_not_allocate() {
+    let _serial = serial();
     // The MatN in-place factorization/product kit used by the Riccati
     // backward pass.
     let n = 12;

@@ -345,6 +345,12 @@ impl MatN {
         }
     }
 
+    /// The whole row-major storage (`rows · cols` entries).
+    #[inline(always)]
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Row `i` as a contiguous slice.
     ///
     /// # Panics

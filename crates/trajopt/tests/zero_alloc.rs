@@ -3,9 +3,16 @@
 //! [`Rk4SensScratch`] and outputs are warm: a counting global allocator
 //! watches every alloc while the hot path runs against reused storage.
 //!
-//! Kept as a single `#[test]` so no concurrently running test can
-//! pollute the process-global counter.
+//! The tests share one process and run on libtest's parallel threads;
+//! the counting allocator (shared with `rbd-dynamics`' proofs) counts
+//! only the running test's own thread and its pool workers, and
+//! serializes the test bodies, so the counts hold under the default
+//! harness.
 
+#[path = "../../dynamics/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{alloc_count, serial};
 use rbd_dynamics::{BatchEval, DynamicsWorkspace};
 use rbd_model::{integrate_config_into, random_state, robots};
 use rbd_spatial::MatN;
@@ -13,46 +20,10 @@ use rbd_trajopt::{
     lq_jacobians_batched, rk4_step, rk4_step_with_sensitivity_into, LqScratch, Rk4SensScratch,
     StepJacobians,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns how many allocator calls it made.
-fn alloc_count(mut f: impl FnMut()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    f();
-    ALLOC_CALLS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn rk4_sensitivity_chain_does_not_allocate_in_steady_state() {
+    let _serial = serial();
     for model in [robots::iiwa(), robots::hyq(), robots::atlas()] {
         let mut ws = DynamicsWorkspace::new(&model);
         let mut scratch = Rk4SensScratch::for_model(&model);
@@ -114,6 +85,7 @@ fn rk4_sensitivity_chain_does_not_allocate_in_steady_state() {
 
 #[test]
 fn mppi_iteration_does_not_allocate_in_steady_state() {
+    let _serial = serial();
     // The FULL sampling-MPC dispatch chain — Gaussian noise fill,
     // lane-group pool dispatch, lockstep lane rollouts + scalar
     // remainder, trajectory scoring and the softmax control blend —
@@ -142,12 +114,12 @@ fn mppi_iteration_does_not_allocate_in_steady_state() {
 
 #[test]
 fn batched_multi_worker_lq_phase_does_not_allocate_in_steady_state() {
+    let _serial = serial();
     // The *whole* batched LQ approximation — persistent-pool dispatch,
     // per-executor workspace + Rk4SensScratch slots, the four-stage ΔFD
     // chain at every sampling point, and the Jacobian writes — must be
     // allocation-free once warm, with multiple workers actually engaged.
-    // The counting allocator is process-global, so worker-thread
-    // allocations are counted too: this covers the
+    // Pool-worker allocations are counted too: this covers the
     // `for_each_with_scratch` dispatch path end to end.
     let model = robots::iiwa();
     let nv = model.nv();
