@@ -4,6 +4,7 @@
 //! in `I_n`, one-hot `S_n`; Fig 7b/c: incremental columns; Fig 8b:
 //! symmetric `I^A` with priority vectors).
 
+use rbd_dynamics::DerivAlgo;
 use rbd_model::{JointType, RobotModel};
 
 /// Fixed-point multiply/add/special-function counts of one submodule
@@ -169,32 +170,6 @@ pub fn db_cost(jt: &JointType, ncols: usize) -> OpCount {
     )
 }
 
-/// Which analytical ΔID formulation an operation estimate models —
-/// mirrors `rbd_dynamics::DerivAlgo` (this crate sits below the
-/// dynamics crate in the dependency graph, so the selector is mirrored
-/// rather than imported; `rbd_dynamics` tests pin the two enums'
-/// `name()` strings against each other).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DerivBackend {
-    /// Carpentier–Mansard chain-table expansion (`Df`/`Db` submodules).
-    Expansion,
-    /// IDSVA composite-quantity formulation (Singh/Russell/Wensing
-    /// 2022): per-body composite builds + per-DOF projections + two dot
-    /// products per related DOF pair.
-    #[default]
-    Idsva,
-}
-
-impl DerivBackend {
-    /// Stable lowercase name (matches `rbd_dynamics::DerivAlgo::name`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Expansion => "expansion",
-            Self::Idsva => "idsva",
-        }
-    }
-}
-
 /// IDSVA per-body cost: world-frame kinematics (transforms of `S`
 /// columns, `v`/`a` updates, inertia congruence ≈ one `Rf`-class
 /// forward step), the momentum/force products, the compact
@@ -240,7 +215,7 @@ const IDSVA_PAIR: OpCount = OpCount {
 /// pair. Feed into `BatchEval::set_point_flops` (directly or through
 /// [`delta_fd_flops_with`]) so the pool's work gating stays honest for
 /// whichever backend a consumer selects.
-pub fn delta_id_flops(model: &RobotModel, backend: DerivBackend) -> f64 {
+pub fn delta_id_flops(model: &RobotModel, backend: DerivAlgo) -> f64 {
     let topo = model.topology();
     let mut total = OpCount::default();
     for i in 0..model.num_bodies() {
@@ -253,13 +228,13 @@ pub fn delta_id_flops(model: &RobotModel, backend: DerivBackend) -> f64 {
                 .map(|&a| model.joint(a).jtype.nv())
                 .sum::<usize>();
         match backend {
-            DerivBackend::Expansion => {
+            DerivAlgo::Expansion => {
                 total = total
                     .plus(df_cost(jt, chain_cols))
                     .plus(db_cost(jt, chain_cols))
                     .plus(trig_cost(jt));
             }
-            DerivBackend::Idsva => {
+            DerivAlgo::Idsva => {
                 // Ordered related pairs owned by this body: its own
                 // DOFs against the full chain (row fill) plus the
                 // strict ancestors against its own DOFs (column fill).
@@ -340,13 +315,13 @@ pub fn trig_cost(jt: &JointType) -> OpCount {
 /// when deciding whether a batch is worth fanning out across the
 /// worker pool.
 pub fn delta_fd_flops(model: &RobotModel) -> f64 {
-    delta_fd_flops_with(model, DerivBackend::default())
+    delta_fd_flops_with(model, DerivAlgo::default())
 }
 
 /// [`delta_fd_flops`] with an explicit ΔID backend for the inner
 /// derivative sweeps (the MMinvGen sweeps and the final `−M⁻¹·∂τ`
 /// products are backend-independent).
-pub fn delta_fd_flops_with(model: &RobotModel, backend: DerivBackend) -> f64 {
+pub fn delta_fd_flops_with(model: &RobotModel, backend: DerivAlgo) -> f64 {
     let topo = model.topology();
     let mut total = OpCount::default();
     for i in 0..model.num_bodies() {
@@ -381,12 +356,12 @@ const RK4_SENS_CHAIN_PRODUCTS: usize = 3 + 6 + 6;
 /// each) that combine them. Install into
 /// `BatchEval::set_point_flops` before batching LQ points.
 pub fn rk4_sens_point_flops(model: &RobotModel) -> f64 {
-    rk4_sens_point_flops_with(model, DerivBackend::default())
+    rk4_sens_point_flops_with(model, DerivAlgo::default())
 }
 
 /// [`rk4_sens_point_flops`] with an explicit ΔID backend for the four
 /// stage ΔFD evaluations.
-pub fn rk4_sens_point_flops_with(model: &RobotModel, backend: DerivBackend) -> f64 {
+pub fn rk4_sens_point_flops_with(model: &RobotModel, backend: DerivAlgo) -> f64 {
     let nv = model.nv() as f64;
     4.0 * delta_fd_flops_with(model, backend) + RK4_SENS_CHAIN_PRODUCTS as f64 * 2.0 * nv * nv * nv
 }
@@ -556,8 +531,8 @@ mod tests {
     fn idsva_estimate_undercuts_expansion_and_scales() {
         use rbd_model::robots;
         for m in [robots::iiwa(), robots::hyq(), robots::atlas()] {
-            let exp = delta_id_flops(&m, DerivBackend::Expansion);
-            let idsva = delta_id_flops(&m, DerivBackend::Idsva);
+            let exp = delta_id_flops(&m, DerivAlgo::Expansion);
+            let idsva = delta_id_flops(&m, DerivAlgo::Idsva);
             // The IDSVA restructure must be modelled as cheaper (the
             // measured kernels are 2-3.5x faster; the op model is more
             // conservative but must preserve the ordering).
@@ -569,13 +544,13 @@ mod tests {
             assert!(idsva > 0.0);
             // The ΔFD wrapper orders the same way.
             assert!(
-                delta_fd_flops_with(&m, DerivBackend::Idsva)
-                    < delta_fd_flops_with(&m, DerivBackend::Expansion)
+                delta_fd_flops_with(&m, DerivAlgo::Idsva)
+                    < delta_fd_flops_with(&m, DerivAlgo::Expansion)
             );
         }
         // Deeper trees cost more under both models.
-        let small = delta_id_flops(&robots::iiwa(), DerivBackend::Idsva);
-        let large = delta_id_flops(&robots::atlas(), DerivBackend::Idsva);
+        let small = delta_id_flops(&robots::iiwa(), DerivAlgo::Idsva);
+        let large = delta_id_flops(&robots::atlas(), DerivAlgo::Idsva);
         assert!(large > small);
     }
 
@@ -604,12 +579,5 @@ mod tests {
         assert!((h8 / h1 - 8.0).abs() < 1e-9, "linear in horizon");
         // Zero horizon clamps to one step rather than gating to zero.
         assert_eq!(rk4_rollout_point_flops(&m, 0), h1);
-    }
-
-    #[test]
-    fn backend_names_are_stable() {
-        assert_eq!(DerivBackend::Expansion.name(), "expansion");
-        assert_eq!(DerivBackend::Idsva.name(), "idsva");
-        assert_eq!(DerivBackend::default().name(), "idsva");
     }
 }

@@ -10,12 +10,13 @@
 //! join rendezvous instead of per-call `std::thread::scope` spawn/join
 //! (the ROADMAP item for short-horizon many-core MPC loops). The calling
 //! thread participates as executor 0. Dispatch is allocation-free in
-//! steady state when the `*_into`/`for_each_*` entry points are used.
+//! steady state. One core, [`BatchEval::for_each_lane_groups`], gates,
+//! chunks, collects the first error and drives the pool;
+//! [`BatchEval::for_each_with_scratch`] is that core at lane width 1.
 //!
 //! Each executor owns a [`DynamicsWorkspace`] **and a caller-provided
-//! generic scratch slot** (`map_with_scratch` / `for_each_with_scratch`
-//! with any `S: Send`), which is what lets consumers like iLQR route
-//! per-point work through fully preallocated state (e.g.
+//! generic scratch slot** (any `S: Send`), which is what lets consumers
+//! like iLQR route per-point work through fully preallocated state (e.g.
 //! `rk4_step_with_sensitivity_into` with one `Rk4SensScratch` per
 //! worker).
 //!
@@ -44,8 +45,7 @@
 //! assert_eq!(outs[3].dqdd_dq.rows(), model.nv());
 //! ```
 
-use crate::derivatives::{rnea_derivatives_with_algo_into, DerivAlgo, RneaDerivatives};
-use crate::fd::{fd_derivatives_with_algo_into, FdDerivatives};
+use crate::fd::{fd_derivatives_into, FdDerivatives};
 use crate::pool::WorkerPool;
 use crate::workspace::DynamicsWorkspace;
 use crate::DynamicsError;
@@ -81,7 +81,7 @@ fn default_point_flops(model: &RobotModel) -> f64 {
 struct SlotPtr<T>(*mut T);
 
 // SAFETY: each executor dereferences only indices in its own disjoint
-// range/slot (enforced by the chunking in `for_each_with_scratch`), and
+// range/slot (enforced by the chunking in `for_each_lane_groups`), and
 // the caller blocks until all executors finish, so the pointee outlives
 // every access. The `T: Send` bound keeps the compiler enforcing that
 // everything shipped across pool threads is actually sendable.
@@ -108,8 +108,6 @@ pub struct BatchEval<'m> {
     point_flops: f64,
     /// Executors engaged by the most recent dispatch.
     last_workers: usize,
-    /// ΔID backend used by the built-in derivative batch kernels.
-    deriv_algo: DerivAlgo,
 }
 
 impl std::fmt::Debug for BatchEval<'_> {
@@ -146,28 +144,7 @@ impl<'m> BatchEval<'m> {
             pool: (executors > 1).then(|| WorkerPool::spawn(executors - 1)),
             point_flops: default_point_flops(model),
             last_workers: 0,
-            deriv_algo: DerivAlgo::default(),
         }
-    }
-
-    /// Selects the ΔID backend used by [`BatchEval::fd_derivatives_batch`]
-    /// and [`BatchEval::rnea_derivatives_batch`] (defaults to
-    /// [`DerivAlgo::default`]). Closure-based entry points are
-    /// unaffected — they call whatever kernel they capture.
-    pub fn set_deriv_algo(&mut self, algo: DerivAlgo) {
-        self.deriv_algo = algo;
-    }
-
-    /// Builder-style [`BatchEval::set_deriv_algo`].
-    #[must_use]
-    pub fn with_deriv_algo(mut self, algo: DerivAlgo) -> Self {
-        self.deriv_algo = algo;
-        self
-    }
-
-    /// The ΔID backend the built-in derivative batch kernels use.
-    pub fn deriv_algo(&self) -> DerivAlgo {
-        self.deriv_algo
     }
 
     /// Maximum number of executors (caller + persistent workers).
@@ -196,7 +173,7 @@ impl<'m> BatchEval<'m> {
         self
     }
 
-    /// Executors engaged by the most recent `map`/`for_each` dispatch
+    /// Executors engaged by the most recent `for_each_*` dispatch
     /// (1 = ran inline on the caller). 0 before the first dispatch.
     pub fn last_workers(&self) -> usize {
         self.last_workers
@@ -212,8 +189,8 @@ impl<'m> BatchEval<'m> {
 
     /// Applies `f` to every `(item, out)` pair with a per-executor
     /// workspace **and user scratch slot**, writing results into the
-    /// caller's slots — the zero-allocation core every other entry point
-    /// builds on. `scratch` must hold at least [`BatchEval::threads`]
+    /// caller's slots: [`BatchEval::for_each_lane_groups`] with one item
+    /// per group. `scratch` must hold at least [`BatchEval::threads`]
     /// slots (slot `w` is private to executor `w`; slot 0 serves the
     /// serial path). Returns the first error in item order, if any (all
     /// items are still evaluated).
@@ -245,88 +222,20 @@ impl<'m> BatchEval<'m> {
         F: Fn(&RobotModel, &mut DynamicsWorkspace, &mut S, usize, &I, &mut T) -> Result<(), E>
             + Sync,
     {
-        assert_eq!(items.len(), outs.len(), "items/outs length mismatch");
-        assert!(
-            scratch.len() >= self.threads(),
-            "need one scratch slot per executor ({} < {})",
-            scratch.len(),
-            self.threads()
-        );
-        let par = self.effective_workers(items.len());
-        self.last_workers = par;
-        let model = self.model;
-        if par <= 1 || self.pool.is_none() {
-            let ws = &mut self.workspaces[0];
-            let sc = &mut scratch[0];
-            let mut first_err = None;
-            for (k, (it, out)) in items.iter().zip(outs.iter_mut()).enumerate() {
-                if let Err(e) = f(model, ws, sc, k, it, out) {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-            return match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
-
-        let n = items.len();
-        let chunk = n.div_ceil(par);
-        // First error by item index, shared across executors. Lives on
-        // the caller's stack: no steady-state heap allocation.
-        let first_err: Mutex<Option<(usize, E)>> = Mutex::new(None);
-        let ws_ptr = SlotPtr(self.workspaces.as_mut_ptr());
-        let sc_ptr = SlotPtr(scratch.as_mut_ptr());
-        let out_ptr = SlotPtr(outs.as_mut_ptr());
-        let task = |w: usize| {
-            let start = w * chunk;
-            if start >= n {
-                return;
-            }
-            let end = (start + chunk).min(n);
-            // SAFETY: executor `w` exclusively owns workspace/scratch
-            // slot `w` and output indices `start..end`; ranges of
-            // distinct executors are disjoint and the caller blocks in
-            // `WorkerPool::run` until all executors finish.
-            let ws = unsafe { &mut *ws_ptr.get().add(w) };
-            let sc = unsafe { &mut *sc_ptr.get().add(w) };
-            for (k, item) in items.iter().enumerate().take(end).skip(start) {
-                let out = unsafe { &mut *out_ptr.get().add(k) };
-                if let Err(e) = f(model, ws, sc, k, item, out) {
-                    let mut g = first_err
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if g.as_ref().is_none_or(|(j, _)| k < *j) {
-                        *g = Some((k, e));
-                    }
-                }
-            }
-        };
-        self.pool
-            .as_mut()
-            .expect("pool present when par > 1")
-            .run(par, &task);
-        match first_err
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+        self.for_each_lane_groups(1, items, outs, scratch, |model, ws, sc, k, it, out| {
+            f(model, ws, sc, k, &it[0], &mut out[0])
+        })
     }
 
-    /// Lane-group variant of [`BatchEval::for_each_with_scratch`]: the
-    /// batch is cut into **lane groups** of `lane_width` consecutive
-    /// items, pool chunks are aligned to group boundaries (a group is
-    /// never split across executors), and `f` is invoked once per group
-    /// with the group's item/output slices — full groups take the
-    /// lockstep lane kernels, the final short group (`items.len() %
-    /// lane_width`) falls back to the scalar path inside `f`. Zero
-    /// steady-state heap allocation, same bit-identical-at-any-worker-
-    /// count guarantee as the per-item entry points (each group's
-    /// outputs depend only on that group's inputs).
+    /// The dispatch core every batch entry point runs on: the batch is
+    /// cut into **lane groups** of `lane_width` consecutive items, pool
+    /// chunks are aligned to group boundaries (a group is never split
+    /// across executors), and `f` is invoked once per group with the
+    /// group's item/output slices — full groups take the lockstep lane
+    /// kernels, the final short group (`items.len() % lane_width`) falls
+    /// back to the scalar path inside `f`. Zero steady-state heap
+    /// allocation; each group's outputs depend only on that group's
+    /// inputs, so results are bit-identical at any worker count.
     ///
     /// `f(model, ws, scratch, group_start, group_items, group_outs)`
     /// where `group_start` is the item index of the group's first
@@ -369,33 +278,9 @@ impl<'m> BatchEval<'m> {
         let par = self.effective_workers(n).min(n_groups.max(1));
         self.last_workers = par;
         let model = self.model;
-        if par <= 1 || self.pool.is_none() {
-            let ws = &mut self.workspaces[0];
-            let sc = &mut scratch[0];
-            let mut first_err = None;
-            for g in 0..n_groups {
-                let start = g * lane_width;
-                let end = (start + lane_width).min(n);
-                if let Err(e) = f(
-                    model,
-                    ws,
-                    sc,
-                    start,
-                    &items[start..end],
-                    &mut outs[start..end],
-                ) {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-            return match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
-
         let chunk_groups = n_groups.div_ceil(par);
+        // First error by group start, shared across executors. Lives on
+        // the caller's stack: no steady-state heap allocation.
         let first_err: Mutex<Option<(usize, E)>> = Mutex::new(None);
         let ws_ptr = SlotPtr(self.workspaces.as_mut_ptr());
         let sc_ptr = SlotPtr(scratch.as_mut_ptr());
@@ -409,8 +294,8 @@ impl<'m> BatchEval<'m> {
             // SAFETY: executor `w` exclusively owns workspace/scratch
             // slot `w` and the item range `g0*lane_width .. g1*lane_width`
             // (group-aligned chunks of distinct executors are disjoint);
-            // the caller blocks in `WorkerPool::run` until all executors
-            // finish.
+            // the caller blocks in `WorkerPool::run` (or runs `task(0)`
+            // itself) until all executors finish.
             let ws = unsafe { &mut *ws_ptr.get().add(w) };
             let sc = unsafe { &mut *sc_ptr.get().add(w) };
             for g in g0..g1 {
@@ -429,10 +314,10 @@ impl<'m> BatchEval<'m> {
                 }
             }
         };
-        self.pool
-            .as_mut()
-            .expect("pool present when par > 1")
-            .run(par, &task);
+        match self.pool.as_mut() {
+            Some(pool) if par > 1 => pool.run(par, &task),
+            _ => task(0),
+        }
         match first_err
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -440,105 +325,6 @@ impl<'m> BatchEval<'m> {
             Some((_, e)) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// [`BatchEval::for_each_lane_groups`] returning the results in item
-    /// order (allocates the result vector; hot paths should reuse
-    /// outputs through `for_each_lane_groups`). `f` receives the group
-    /// and writes one `T` per item via the output slice.
-    ///
-    /// # Panics
-    /// Panics under the same conditions as
-    /// [`BatchEval::for_each_lane_groups`].
-    pub fn map_lanes<I, T, S, F>(
-        &mut self,
-        lane_width: usize,
-        items: &[I],
-        scratch: &mut [S],
-        f: F,
-    ) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        S: Send,
-        F: Fn(&RobotModel, &mut DynamicsWorkspace, &mut S, usize, &[I], &mut [Option<T>]) + Sync,
-    {
-        let mut outs: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
-        let ok: Result<(), std::convert::Infallible> = self.for_each_lane_groups(
-            lane_width,
-            items,
-            &mut outs,
-            scratch,
-            |model, ws, sc, start, group, group_outs| {
-                f(model, ws, sc, start, group, group_outs);
-                Ok(())
-            },
-        );
-        ok.expect("infallible");
-        outs.into_iter()
-            .map(|o| o.expect("every item evaluated"))
-            .collect()
-    }
-
-    /// [`BatchEval::for_each_with_scratch`] without a user scratch slot
-    /// (the per-executor [`DynamicsWorkspace`] is still provided).
-    ///
-    /// # Errors
-    /// Propagates the `Err` with the smallest item index.
-    ///
-    /// # Panics
-    /// Panics if `items` and `outs` lengths differ.
-    pub fn for_each_into<I, T, E, F>(&mut self, items: &[I], outs: &mut [T], f: F) -> Result<(), E>
-    where
-        I: Sync,
-        T: Send,
-        E: Send,
-        F: Fn(&RobotModel, &mut DynamicsWorkspace, usize, &I, &mut T) -> Result<(), E> + Sync,
-    {
-        // A `Vec` of zero-sized units never touches the heap.
-        let mut unit: Vec<()> = vec![(); self.threads()];
-        self.for_each_with_scratch(items, outs, &mut unit, |model, ws, (), k, it, out| {
-            f(model, ws, k, it, out)
-        })
-    }
-
-    /// Applies `f` to every item with a per-executor workspace and user
-    /// scratch slot, returning the results in item order (allocates the
-    /// result vector; use [`BatchEval::for_each_with_scratch`] on hot
-    /// paths).
-    ///
-    /// # Panics
-    /// Panics if `scratch` is shorter than [`BatchEval::threads`];
-    /// re-raises worker panics.
-    pub fn map_with_scratch<I, T, S, F>(&mut self, items: &[I], scratch: &mut [S], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        S: Send,
-        F: Fn(&RobotModel, &mut DynamicsWorkspace, &mut S, usize, &I) -> T + Sync,
-    {
-        let mut outs: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
-        let ok: Result<(), std::convert::Infallible> =
-            self.for_each_with_scratch(items, &mut outs, scratch, |model, ws, sc, k, it, out| {
-                *out = Some(f(model, ws, sc, k, it));
-                Ok(())
-            });
-        ok.expect("infallible");
-        outs.into_iter()
-            .map(|o| o.expect("every item evaluated"))
-            .collect()
-    }
-
-    /// Applies `f` to every item with a per-executor workspace,
-    /// returning the results in item order.
-    pub fn map<I, T, F>(&mut self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&RobotModel, &mut DynamicsWorkspace, usize, &I) -> T + Sync,
-    {
-        let mut unit: Vec<()> = vec![(); self.threads()];
-        self.map_with_scratch(items, &mut unit, |model, ws, (), k, it| f(model, ws, k, it))
     }
 
     /// Batched `ΔFD` over sampling points `(q, q̇, τ)`: fills `outs[k]`
@@ -555,34 +341,27 @@ impl<'m> BatchEval<'m> {
         points: &[SamplePoint],
         outs: &mut [FdDerivatives],
     ) -> Result<(), DynamicsError> {
-        let algo = self.deriv_algo;
-        self.for_each_into(points, outs, |model, ws, _, (q, qd, tau), out| {
-            fd_derivatives_with_algo_into(model, ws, q, qd, tau, None, algo, out)
-        })
-    }
-
-    /// Batched `ΔID` over sampling points `(q, q̇, q̈)`: fills `outs[k]`
-    /// with the derivatives at point `k`. Zero allocation in steady state.
-    ///
-    /// # Panics
-    /// Panics if `points` and `outs` lengths differ.
-    pub fn rnea_derivatives_batch(&mut self, points: &[SamplePoint], outs: &mut [RneaDerivatives]) {
-        let algo = self.deriv_algo;
-        let ok: Result<(), std::convert::Infallible> =
-            self.for_each_into(points, outs, |model, ws, _, (q, qd, qdd), out| {
-                rnea_derivatives_with_algo_into(model, ws, q, qd, qdd, None, algo, out);
-                Ok(())
-            });
-        ok.expect("infallible");
+        // A `Vec` of zero-sized units never touches the heap.
+        let mut unit: Vec<()> = vec![(); self.threads()];
+        self.for_each_with_scratch(
+            points,
+            outs,
+            &mut unit,
+            |model, ws, (), _, (q, qd, tau), out| {
+                fd_derivatives_into(model, ws, q, qd, tau, None, out)
+            },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::derivatives::{rnea_derivatives_into, RneaDerivatives};
     use crate::fd::fd_derivatives;
     use crate::rnea_derivatives;
     use rbd_model::{random_state, robots};
+    use std::convert::Infallible;
 
     fn points(model: &rbd_model::RobotModel, n: usize) -> Vec<SamplePoint> {
         (0..n)
@@ -594,6 +373,32 @@ mod tests {
                 (s.q, s.qd, u)
             })
             .collect()
+    }
+
+    /// Per-item dispatch with unit scratch, collecting `f(index, item)`
+    /// in item order.
+    fn run_items<T: Clone + Default + Send>(
+        batch: &mut BatchEval<'_>,
+        items: &[usize],
+        f: impl Fn(usize, usize) -> T + Sync,
+    ) -> Vec<T> {
+        let mut outs = vec![T::default(); items.len()];
+        let mut unit: Vec<()> = vec![(); batch.threads()];
+        let r: Result<(), Infallible> =
+            batch.for_each_with_scratch(items, &mut outs, &mut unit, |_, _, (), k, &it, out| {
+                *out = f(k, it);
+                Ok(())
+            });
+        r.unwrap();
+        outs
+    }
+
+    fn all_finite(d: &FdDerivatives) -> bool {
+        [&d.dqdd_dq, &d.dqdd_dqd, &d.dqdd_dtau]
+            .iter()
+            .flat_map(|m| m.as_slice())
+            .chain(&d.qdd)
+            .all(|x| x.is_finite())
     }
 
     #[test]
@@ -626,7 +431,17 @@ mod tests {
         let pts = points(&model, 7);
         let mut batch = BatchEval::with_threads(&model, 3);
         let mut outs = vec![RneaDerivatives::zeros(model.nv()); pts.len()];
-        batch.rnea_derivatives_batch(&pts, &mut outs);
+        let mut unit: Vec<()> = vec![(); batch.threads()];
+        let r: Result<(), Infallible> = batch.for_each_with_scratch(
+            &pts,
+            &mut outs,
+            &mut unit,
+            |model, ws, (), _, (q, qd, qdd), out| {
+                rnea_derivatives_into(model, ws, q, qd, qdd, None, out);
+                Ok(())
+            },
+        );
+        r.unwrap();
 
         let mut ws = DynamicsWorkspace::new(&model);
         for (k, (q, qd, qdd)) in pts.iter().enumerate() {
@@ -642,11 +457,48 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_item_order() {
+    fn nan_point_does_not_take_down_its_batch() {
+        // One poisoned sample must leave every other slot exactly equal
+        // to the serial kernel's output, at any worker count, and only
+        // its own slot may come back non-finite (or the batch reports an
+        // error). The bad point sits mid-batch so that, with the gate
+        // forced open, it lands in a worker's chunk rather than the
+        // caller's.
+        let model = robots::hyq();
+        let bad = 5;
+        let mut pts = points(&model, 11);
+        pts[bad].1[0] = f64::NAN;
+        let mut ws = DynamicsWorkspace::new(&model);
+        let serial: Vec<_> = pts
+            .iter()
+            .map(|(q, qd, tau)| fd_derivatives(&model, &mut ws, q, qd, tau, None))
+            .collect();
+        for threads in [0, 1, 2, 4] {
+            let mut batch = BatchEval::with_threads(&model, threads).with_point_flops(1e9);
+            let mut outs = vec![FdDerivatives::zeros(model.nv()); pts.len()];
+            let r = batch.fd_derivatives_batch(&pts, &mut outs);
+            assert_eq!(r.is_err(), serial[bad].is_err(), "{threads} threads");
+            assert!(r.is_err() || !all_finite(&outs[bad]), "the NaN must show");
+            for (k, (out, reference)) in outs.iter().zip(&serial).enumerate() {
+                if k == bad {
+                    continue;
+                }
+                let reference = reference.as_ref().unwrap();
+                assert!(all_finite(out), "point {k} with {threads} threads");
+                assert_eq!(out.dqdd_dq, reference.dqdd_dq, "point {k}, {threads}T");
+                assert_eq!(out.dqdd_dqd, reference.dqdd_dqd, "point {k}, {threads}T");
+                assert_eq!(out.dqdd_dtau, reference.dqdd_dtau, "point {k}, {threads}T");
+                assert_eq!(out.qdd, reference.qdd, "point {k}, {threads}T");
+            }
+        }
+    }
+
+    #[test]
+    fn per_item_dispatch_preserves_item_order() {
         let model = robots::iiwa();
         let mut batch = BatchEval::with_threads(&model, 3);
         let items: Vec<usize> = (0..17).collect();
-        let out = batch.map(&items, |_, _, idx, &item| (idx, item * 2));
+        let out = run_items(&mut batch, &items, |idx, item| (idx, item * 2));
         for (k, (idx, doubled)) in out.iter().enumerate() {
             assert_eq!(*idx, k);
             assert_eq!(*doubled, 2 * k);
@@ -662,7 +514,7 @@ mod tests {
         let model = robots::iiwa();
         let mut batch = BatchEval::with_threads(&model, 4).with_point_flops(1e9);
         let items: Vec<usize> = (0..5).collect();
-        let out = batch.map(&items, |_, _, idx, &item| (idx, item));
+        let out = run_items(&mut batch, &items, |idx, item| (idx, item));
         assert_eq!(out, (0..5).map(|k| (k, k)).collect::<Vec<_>>());
         assert_eq!(batch.last_workers(), 4);
 
@@ -701,7 +553,7 @@ mod tests {
         let mut batch = BatchEval::with_threads(&model, 4);
         let mut outs: Vec<FdDerivatives> = Vec::new();
         batch.fd_derivatives_batch(&[], &mut outs).unwrap();
-        let out: Vec<u32> = batch.map(&[] as &[usize], |_, _, _, _| 1);
+        let out: Vec<u32> = run_items(&mut batch, &[], |_, _| 1);
         assert!(out.is_empty());
     }
 
@@ -723,17 +575,25 @@ mod tests {
     }
 
     #[test]
-    fn map_with_scratch_gives_each_executor_its_slot() {
+    fn scratch_slot_per_executor() {
         let model = robots::iiwa();
         let mut batch = BatchEval::with_threads(&model, 3).with_point_flops(1e9);
         let items: Vec<usize> = (0..12).collect();
+        let mut outs = vec![0usize; items.len()];
         // Each executor counts its items in its own scratch slot.
         let mut tallies = vec![0usize; batch.threads()];
-        let out = batch.map_with_scratch(&items, &mut tallies, |_, _, tally, idx, &item| {
-            *tally += 1;
-            idx + item
-        });
-        assert_eq!(out, (0..12).map(|k| 2 * k).collect::<Vec<_>>());
+        let r: Result<(), Infallible> = batch.for_each_with_scratch(
+            &items,
+            &mut outs,
+            &mut tallies,
+            |_, _, tally, idx, &item, out| {
+                *tally += 1;
+                *out = idx + item;
+                Ok(())
+            },
+        );
+        r.unwrap();
+        assert_eq!(outs, (0..12).map(|k| 2 * k).collect::<Vec<_>>());
         assert_eq!(tallies.iter().sum::<usize>(), items.len());
         assert!(
             tallies.iter().filter(|&&t| t > 0).count() >= 2,
@@ -748,14 +608,20 @@ mod tests {
             let mut batch = BatchEval::with_threads(&model, threads).with_point_flops(1e9);
             let items: Vec<usize> = (0..16).collect();
             let mut outs = vec![0usize; 16];
-            let r = batch.for_each_into(&items, &mut outs, |_, _, _k, &it, out| {
-                *out = it;
-                if it >= 5 {
-                    Err(it)
-                } else {
-                    Ok(())
-                }
-            });
+            let mut unit: Vec<()> = vec![(); batch.threads()];
+            let r = batch.for_each_with_scratch(
+                &items,
+                &mut outs,
+                &mut unit,
+                |_, _, (), _, &it, out| {
+                    *out = it;
+                    if it >= 5 {
+                        Err(it)
+                    } else {
+                        Ok(())
+                    }
+                },
+            );
             assert_eq!(r, Err(5), "{threads} threads");
             // All items were still evaluated.
             assert_eq!(outs, (0..16).collect::<Vec<_>>());
@@ -773,7 +639,7 @@ mod tests {
             let items: Vec<usize> = (0..13).collect();
             let mut outs = vec![(0usize, 0usize); 13];
             let mut unit: Vec<()> = vec![(); batch.threads()];
-            let r: Result<(), std::convert::Infallible> = batch.for_each_lane_groups(
+            let r: Result<(), Infallible> = batch.for_each_lane_groups(
                 4,
                 &items,
                 &mut outs,
@@ -797,18 +663,26 @@ mod tests {
     }
 
     #[test]
-    fn map_lanes_matches_scalar_map() {
+    fn lane_groups_match_per_item_dispatch() {
         let model = robots::hyq();
         let mut batch = BatchEval::with_threads(&model, 3).with_point_flops(1e9);
         let items: Vec<usize> = (0..10).collect();
+        let mut outs = vec![0usize; items.len()];
         let mut unit: Vec<()> = vec![(); batch.threads()];
-        let out: Vec<usize> =
-            batch.map_lanes(4, &items, &mut unit, |_, _, (), start, group, outs| {
-                for (off, (it, o)) in group.iter().zip(outs.iter_mut()).enumerate() {
-                    *o = Some(*it + start + off);
+        let r: Result<(), Infallible> = batch.for_each_lane_groups(
+            4,
+            &items,
+            &mut outs,
+            &mut unit,
+            |_, _, (), start, group, group_outs| {
+                for (off, (it, o)) in group.iter().zip(group_outs.iter_mut()).enumerate() {
+                    *o = *it + start + off;
                 }
-            });
-        assert_eq!(out, (0..10).map(|k| 2 * k).collect::<Vec<_>>());
+                Ok(())
+            },
+        );
+        r.unwrap();
+        assert_eq!(outs, run_items(&mut batch, &items, |idx, it| it + idx));
     }
 
     #[test]
@@ -853,7 +727,7 @@ mod tests {
 
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut outs = vec![0usize; 16];
-            let r: Result<(), std::convert::Infallible> = batch.for_each_lane_groups(
+            let r: Result<(), Infallible> = batch.for_each_lane_groups(
                 4,
                 &items,
                 &mut outs,
@@ -881,7 +755,7 @@ mod tests {
         );
 
         // The pool is not poisoned: the same evaluator keeps working.
-        let out = batch.map(&items, |_, _, idx, &it| idx + it);
+        let out = run_items(&mut batch, &items, |idx, it| idx + it);
         assert_eq!(out, (0..16).map(|k| 2 * k).collect::<Vec<_>>());
     }
 
@@ -892,7 +766,7 @@ mod tests {
         let items: Vec<usize> = (0..8).collect();
 
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batch.map(&items, |_, _, _, &it| {
+            run_items(&mut batch, &items, |_, it| {
                 if it == 6 {
                     panic!("batch closure failed at {it}");
                 }
@@ -910,7 +784,7 @@ mod tests {
         );
 
         // The pool is not poisoned: the same evaluator keeps working.
-        let out = batch.map(&items, |_, _, idx, &it| idx + it);
+        let out = run_items(&mut batch, &items, |idx, it| idx + it);
         assert_eq!(out, (0..8).map(|k| 2 * k).collect::<Vec<_>>());
     }
 
@@ -923,7 +797,7 @@ mod tests {
         for _ in 0..3 {
             let mut batch = BatchEval::with_threads(&model, 3).with_point_flops(1e9);
             let items: Vec<usize> = (0..6).collect();
-            let out = batch.map(&items, |_, _, _, &it| it);
+            let out = run_items(&mut batch, &items, |_, it| it);
             assert_eq!(out, items);
             drop(batch);
         }

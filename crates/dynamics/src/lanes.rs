@@ -23,10 +23,10 @@
 //! Lane `l` of any output is therefore **bit-identical** to running
 //! the scalar kernel on lane `l`'s inputs — pinned per model (floating
 //! base included) by `tests/lane_equivalence.rs` and the proptest
-//! suite. Batch consumers exploit this: `BatchEval::map_lanes` chunks a
-//! sample batch into lane groups with a scalar fallback for the
-//! remainder, and the result is indistinguishable from the serial
-//! scalar loop.
+//! suite. Batch consumers exploit this:
+//! `BatchEval::for_each_lane_groups` chunks a sample batch into lane
+//! groups with a scalar fallback for the remainder, and the result is
+//! indistinguishable from the serial scalar loop.
 //!
 //! # Memory layout
 //!

@@ -26,7 +26,7 @@
 //! the default — 2-3x faster single-thread on the evaluation robots).
 //! Both agree to ≤1e-9 on every test model
 //! (`tests/backend_equivalence.rs`); select one explicitly through the
-//! `*_with_algo_into` entry points or [`BatchEval::set_deriv_algo`].
+//! `*_with_algo_into` entry points.
 //!
 //! # Workspace-reuse convention
 //!

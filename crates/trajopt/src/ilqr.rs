@@ -196,12 +196,8 @@ impl<'m> IlqrScratch<'m> {
         // estimated-FLOP work gate (fed with the paper's RK4-point cost
         // model for the selected ΔID backend), replacing the old
         // `nv >= 4` model-size heuristic.
-        let backend = match deriv_algo {
-            DerivAlgo::Expansion => rbd_accel::ops::DerivBackend::Expansion,
-            DerivAlgo::Idsva => rbd_accel::ops::DerivBackend::Idsva,
-        };
         let batch = BatchEval::new(model)
-            .with_point_flops(rbd_accel::ops::rk4_sens_point_flops_with(model, backend));
+            .with_point_flops(rbd_accel::ops::rk4_sens_point_flops_with(model, deriv_algo));
         let executors = batch.threads();
         Self {
             ws: DynamicsWorkspace::new(model),

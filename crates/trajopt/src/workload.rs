@@ -70,7 +70,7 @@ impl WorkloadProfile {
 /// Profiles one MPC iteration with `n_points` sampling points on
 /// `model`, using all available host parallelism for the batched LQ
 /// measurement: per point an RK4 sensitivity evaluation (4 serial ΔFD
-/// sub-tasks), then a serial backward pass over the collected Jacobians.
+/// sub-tasks), then a serial Riccati-like chain over the Jacobians.
 pub fn profile_mpc_iteration(model: &RobotModel, n_points: usize) -> WorkloadProfile {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -88,9 +88,62 @@ pub fn profile_mpc_iteration_threaded(
     profile_mpc_iteration_with_algo(model, n_points, threads, DerivAlgo::default())
 }
 
+/// Repetitions of every timed phase in [`profile_mpc_iteration`]. Each
+/// point's share of a phase counts its fastest repetition, so a
+/// scheduling hiccup from a neighbouring process lands only in slower
+/// repetitions.
+const PROFILE_REPS: usize = 3;
+
+/// Seconds spent in the four ΔFD evaluations of one point's RK4
+/// sensitivity chain, evaluated at the *actual* stage states (each stage
+/// state is advanced with the ΔFD's own q̈ by-product, exactly as
+/// `rk4_step_with_sensitivity` does). Only the ΔFD calls are timed — the
+/// stage-state algebra is excluded.
+#[allow(clippy::too_many_arguments)] // the ΔFD signature + step + output scratch
+fn dfd_stages_s(
+    model: &RobotModel,
+    ws: &mut DynamicsWorkspace,
+    dfd: &mut FdDerivatives,
+    q: &[f64],
+    qd: &[f64],
+    tau: &[f64],
+    dt: f64,
+    deriv_algo: DerivAlgo,
+) -> f64 {
+    let nv = model.nv();
+    let mut elapsed = 0.0;
+    let mut timed_dfd = |q: &[f64], qd: &[f64]| -> Vec<f64> {
+        let t = Instant::now();
+        rbd_dynamics::fd_derivatives_with_algo_into(model, ws, q, qd, tau, None, deriv_algo, dfd)
+            .expect("ΔFD");
+        elapsed += t.elapsed().as_secs_f64();
+        std::hint::black_box(&*dfd);
+        dfd.qdd.clone()
+    };
+    // Stage 1 at (q, q̇); stages 2-4 at the RK4 intermediate states.
+    let k1a = timed_dfd(q, qd);
+    let q2 = rbd_model::integrate_config(model, q, qd, dt / 2.0);
+    let qd2: Vec<f64> = (0..nv).map(|i| qd[i] + dt / 2.0 * k1a[i]).collect();
+    let k2a = timed_dfd(&q2, &qd2);
+    let q3 = rbd_model::integrate_config(model, q, &qd2, dt / 2.0);
+    let qd3: Vec<f64> = (0..nv).map(|i| qd[i] + dt / 2.0 * k2a[i]).collect();
+    let k3a = timed_dfd(&q3, &qd3);
+    let q4 = rbd_model::integrate_config(model, q, &qd3, dt);
+    let qd4: Vec<f64> = (0..nv).map(|i| qd[i] + dt * k3a[i]).collect();
+    timed_dfd(&q4, &qd4);
+    elapsed
+}
+
 /// [`profile_mpc_iteration_threaded`] with an explicit ΔID backend for
 /// every derivative evaluation in the profile (the reported
 /// [`WorkloadProfile::deriv_algo`] echoes it back).
+///
+/// Every phase is timed `PROFILE_REPS` (3) times. The serial phases (ΔFD
+/// subset, full RK4-sensitivity step, solver-chain step, rollout step)
+/// are timed interleaved, point by point, and each point contributes its
+/// fastest repetition; the batched pass runs after each repetition and
+/// reports its fastest. Phases compared with each other thus see the
+/// same machine load.
 pub fn profile_mpc_iteration_with_algo(
     model: &RobotModel,
     n_points: usize,
@@ -105,71 +158,24 @@ pub fn profile_mpc_iteration_with_algo(
         .map(|i| random_state(model, i as u64))
         .collect();
 
-    // Derivatives-only share: time the four ΔFD evaluations of each
-    // point's RK4 sensitivity chain directly, at the *actual* stage
-    // states (each stage state is advanced with the ΔFD's own q̈
-    // by-product, exactly as `rk4_step_with_sensitivity` does). Only the
-    // ΔFD calls are inside the timed sections — the stage-state algebra
-    // and the chain-rule products are excluded.
-    let mut dfd = FdDerivatives::zeros(nv);
-    let mut derivatives_s = 0.0;
-    for s in &states {
-        let mut timed_dfd = |ws: &mut DynamicsWorkspace, q: &[f64], qd: &[f64]| -> Vec<f64> {
-            let t = Instant::now();
-            rbd_dynamics::fd_derivatives_with_algo_into(
-                model, ws, q, qd, &tau, None, deriv_algo, &mut dfd,
-            )
-            .expect("ΔFD");
-            derivatives_s += t.elapsed().as_secs_f64();
-            std::hint::black_box(&dfd);
-            dfd.qdd.clone()
-        };
-        // Stage 1 at (q, q̇); stages 2-4 at the RK4 intermediate states.
-        let k1a = timed_dfd(&mut ws, &s.q, &s.qd);
-        let q2 = rbd_model::integrate_config(model, &s.q, &s.qd, dt / 2.0);
-        let qd2: Vec<f64> = (0..nv).map(|i| s.qd[i] + dt / 2.0 * k1a[i]).collect();
-        let k2a = timed_dfd(&mut ws, &q2, &qd2);
-        let q3 = rbd_model::integrate_config(model, &s.q, &qd2, dt / 2.0);
-        let qd3: Vec<f64> = (0..nv).map(|i| s.qd[i] + dt / 2.0 * k2a[i]).collect();
-        let k3a = timed_dfd(&mut ws, &q3, &qd3);
-        let q4 = rbd_model::integrate_config(model, &s.q, &qd3, dt);
-        let qd4: Vec<f64> = (0..nv).map(|i| s.qd[i] + dt * k3a[i]).collect();
-        timed_dfd(&mut ws, &q4, &qd4);
-    }
-
-    // Full LQ approximation (RK4 sensitivities per point), serial — on
-    // the same zero-allocation `_into` kernel the batched path uses, so
-    // the serial/batched comparison isolates the pool, not allocation
+    // Serial LQ approximation (RK4 sensitivities per point) on the same
+    // zero-allocation `_into` kernel the batched path uses, so the
+    // serial/batched comparison isolates the pool, not allocation
     // behavior. All buffers are pre-sized: steady state from call one.
+    let mut dfd = FdDerivatives::zeros(nv);
     let mut sens = Rk4SensScratch::for_model(model);
     sens.set_deriv_algo(deriv_algo);
     let mut q_next = vec![0.0; model.nq()];
     let mut qd_next = vec![0.0; nv];
     let mut jacs: Vec<StepJacobians> = (0..n_points).map(|_| StepJacobians::zeros(nv)).collect();
-    let t = Instant::now();
-    for (s, jac) in states.iter().zip(jacs.iter_mut()) {
-        rk4_step_with_sensitivity_into(
-            model,
-            &mut ws,
-            &mut sens,
-            &s.q,
-            &s.qd,
-            &tau,
-            dt,
-            &mut q_next,
-            &mut qd_next,
-            jac,
-        );
-    }
-    let lq_approx_s = t.elapsed().as_secs_f64();
 
     // Same LQ approximation, batched across the persistent worker pool
     // (the embarrassingly-parallel axis of Fig 13) on the
-    // zero-allocation scratch-slot path; the first call warms the
-    // buffers so the timed call measures the steady state an MPC loop
-    // lives in.
+    // zero-allocation scratch-slot path, gated with the cost model of
+    // the selected backend; the warm-up call sizes the buffers so the
+    // timed calls measure the steady state an MPC loop lives in.
     let mut batch = BatchEval::with_threads(model, threads)
-        .with_point_flops(rbd_accel::ops::rk4_sens_point_flops(model));
+        .with_point_flops(rbd_accel::ops::rk4_sens_point_flops_with(model, deriv_algo));
     let traj: Vec<(Vec<f64>, Vec<f64>)> =
         states.iter().map(|s| (s.q.clone(), s.qd.clone())).collect();
     let us = vec![tau.clone(); n_points];
@@ -182,50 +188,67 @@ pub fn profile_mpc_iteration_with_algo(
             s
         })
         .collect();
-    lq_jacobians_batched(
-        &mut batch,
-        dt,
-        &traj,
-        &us,
-        &mut batched_jacs,
-        &mut lq_scratch,
-    );
-    let t = Instant::now();
-    lq_jacobians_batched(
-        &mut batch,
-        dt,
-        &traj,
-        &us,
-        &mut batched_jacs,
-        &mut lq_scratch,
-    );
-    let lq_batch_s = t.elapsed().as_secs_f64();
-    std::hint::black_box(&batched_jacs);
+    let mut lq_batched = |batch: &mut BatchEval<'_>| {
+        lq_jacobians_batched(batch, dt, &traj, &us, &mut batched_jacs, &mut lq_scratch);
+    };
+    lq_batched(&mut batch);
 
-    // Serial backward sweep over the Jacobians (Riccati-like chain).
-    let t = Instant::now();
+    // Per point, the fastest repetition of: its ΔFD subset, its full
+    // RK4-sensitivity step, the solver-chain step on its Jacobian and its
+    // rollout step. All four are timed back to back at each point, so
+    // the phases compared with each other see the same machine load.
+    let mut best = vec![[f64::INFINITY; 4]; n_points];
+    let mut lq_batch_s = f64::INFINITY;
     let nx = 2 * nv;
-    let mut v = MatN::identity(nx);
-    for j in jacs.iter().rev() {
-        v = j.a.transpose().mul_mat(&v.mul_mat(&j.a));
-        // Keep it bounded.
-        let scale = v.max_abs().max(1.0);
-        for i in 0..nx {
-            for k in 0..nx {
-                v[(i, k)] /= scale;
-            }
-        }
-    }
-    std::hint::black_box(&v);
-    let solver_s = t.elapsed().as_secs_f64();
+    let best_of = |slot: &mut f64, t: Instant| *slot = slot.min(t.elapsed().as_secs_f64());
+    for _ in 0..PROFILE_REPS {
+        // Serial Riccati-like chain over the Jacobians.
+        let mut v = MatN::identity(nx);
+        for ((s, jac), b) in states.iter().zip(jacs.iter_mut()).zip(best.iter_mut()) {
+            let dfd_s = dfd_stages_s(model, &mut ws, &mut dfd, &s.q, &s.qd, &tau, dt, deriv_algo);
+            b[0] = b[0].min(dfd_s);
 
-    // Rollout / bookkeeping.
-    let t = Instant::now();
-    for s in &states {
-        let step = crate::integrator::rk4_step(model, &mut ws, &s.q, &s.qd, &tau, dt);
-        std::hint::black_box(&step);
+            let t = Instant::now();
+            rk4_step_with_sensitivity_into(
+                model,
+                &mut ws,
+                &mut sens,
+                &s.q,
+                &s.qd,
+                &tau,
+                dt,
+                &mut q_next,
+                &mut qd_next,
+                jac,
+            );
+            best_of(&mut b[1], t);
+
+            let t = Instant::now();
+            v = jac.a.transpose().mul_mat(&v.mul_mat(&jac.a));
+            // Keep it bounded.
+            let scale = v.max_abs().max(1.0);
+            for i in 0..nx {
+                for j in 0..nx {
+                    v[(i, j)] /= scale;
+                }
+            }
+            best_of(&mut b[2], t);
+
+            // Rollout / bookkeeping.
+            let t = Instant::now();
+            let step = crate::integrator::rk4_step(model, &mut ws, &s.q, &s.qd, &tau, dt);
+            std::hint::black_box(&step);
+            best_of(&mut b[3], t);
+        }
+        std::hint::black_box(&v);
+
+        let t = Instant::now();
+        lq_batched(&mut batch);
+        best_of(&mut lq_batch_s, t);
     }
-    let other_s = t.elapsed().as_secs_f64();
+    std::hint::black_box(&batched_jacs);
+    let phase_s = |i: usize| best.iter().map(|b| b[i]).sum::<f64>();
+    let [derivatives_s, lq_approx_s, solver_s, other_s] = [0, 1, 2, 3].map(phase_s);
 
     WorkloadProfile {
         lq_approx_s,

@@ -121,18 +121,6 @@ fn ilqr_still_converges_with_batched_lq() {
     assert!(*r.cost_history.last().unwrap() < 0.5 * r.cost_history[0]);
 }
 
-/// The accel crate mirrors `DerivAlgo` (it sits below `rbd_dynamics` in
-/// the dependency graph); the two selectors must stay in lockstep so
-/// FLOP gating models the backend actually dispatched.
-#[test]
-fn deriv_backend_mirror_stays_in_lockstep() {
-    use dadu_rbd::accel::ops::DerivBackend;
-    use dadu_rbd::dynamics::DerivAlgo;
-    assert_eq!(DerivAlgo::Expansion.name(), DerivBackend::Expansion.name());
-    assert_eq!(DerivAlgo::Idsva.name(), DerivBackend::Idsva.name());
-    assert_eq!(DerivAlgo::default().name(), DerivBackend::default().name());
-}
-
 /// iLQR converges to the same kind of solution under either ΔID
 /// backend, and the two LQ phases' Jacobians agree.
 #[test]

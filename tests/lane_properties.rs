@@ -139,7 +139,7 @@ proptest! {
         }
     }
 
-    /// The lane-group batch dispatch (`map_lanes` chunking, scalar
+    /// The lane-group batch dispatch (`for_each_lane_groups` chunking, scalar
     /// remainder) is bit-identical to the serial scalar loop at every
     /// worker count for arbitrary batch sizes.
     #[test]
