@@ -5,6 +5,7 @@
 //! *serial* ΔFD calls, while steps at different sampling points are
 //! independent.
 
+use crate::isa::Isa;
 use rbd_dynamics::{fd_derivatives_with_algo_into, DerivAlgo, DynamicsWorkspace, FdDerivatives};
 use rbd_model::{integrate_config, integrate_config_into, RobotModel};
 use rbd_spatial::MatN;
@@ -259,7 +260,7 @@ pub fn rk4_step_with_sensitivity_into(
     jac: &mut StepJacobians,
 ) {
     rk4_sens_step(
-        ChainIsa::detect(),
+        Isa::detect(),
         model,
         ws,
         scratch,
@@ -277,7 +278,7 @@ pub fn rk4_step_with_sensitivity_into(
 /// chosen by the caller.
 #[allow(clippy::too_many_arguments)]
 fn rk4_sens_step(
-    isa: ChainIsa,
+    isa: Isa,
     model: &RobotModel,
     ws: &mut DynamicsWorkspace,
     scratch: &mut Rk4SensScratch,
@@ -345,31 +346,11 @@ fn rk4_sens_step(
     sens_chain(isa, h, d, chain, jac);
 }
 
-/// Instruction set the sensitivity chain is compiled for, detected once
-/// per step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChainIsa {
-    Portable,
-    /// Only produced by [`ChainIsa::detect`] after a runtime check.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl ChainIsa {
-    fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Self::Avx2;
-        }
-        Self::Portable
-    }
-}
-
 /// Runs [`sens_chain_impl`] on `isa`. The AVX2 clone is the same code
 /// compiled with 4-wide registers: the same IEEE operations in the same
 /// order and no FMA contraction, so both give the same bits.
 fn sens_chain(
-    isa: ChainIsa,
+    isa: Isa,
     h: f64,
     d: &[FdDerivatives; 4],
     c: &mut ChainScratch,
@@ -378,8 +359,8 @@ fn sens_chain(
     match isa {
         // SAFETY: `Avx2` is only produced after AVX2 was detected at runtime.
         #[cfg(target_arch = "x86_64")]
-        ChainIsa::Avx2 => unsafe { sens_chain_avx2(h, d, c, jac) },
-        ChainIsa::Portable => sens_chain_impl(h, d, c, jac),
+        Isa::Avx2 => unsafe { sens_chain_avx2(h, d, c, jac) },
+        Isa::Portable => sens_chain_impl(h, d, c, jac),
     }
 }
 
@@ -855,18 +836,9 @@ mod tests {
         ]
     }
 
-    /// Every chain instruction set this host can run.
-    fn host_isas() -> Vec<ChainIsa> {
-        let mut isas = vec![ChainIsa::Portable];
-        if ChainIsa::detect() != ChainIsa::Portable {
-            isas.push(ChainIsa::detect());
-        }
-        isas
-    }
-
     /// One structured step on `isa` with a fresh scratch.
     fn structured_step(
-        isa: ChainIsa,
+        isa: Isa,
         model: &RobotModel,
         q: &[f64],
         qd: &[f64],
@@ -912,7 +884,7 @@ mod tests {
                 let (q_ref, qd_ref, jac_ref) = dense_reference::rk4_step_with_sensitivity_dense(
                     &model, &mut ws, &s.q, &s.qd, &tau, h,
                 );
-                for isa in host_isas() {
+                for isa in Isa::host_all() {
                     let (q_new, qd_new, jac) = structured_step(isa, &model, &s.q, &s.qd, &tau, h);
                     let tag = format!("{} seed {seed} {isa:?}", model.name());
                     let eq = |a: f64, b: f64| a == b;
@@ -937,7 +909,7 @@ mod tests {
 
     #[test]
     fn avx2_chain_and_portable_chain_agree_bitwise() {
-        let isas = host_isas();
+        let isas = Isa::host_all();
         if isas.len() < 2 {
             eprintln!("no AVX2 on this host; only the portable chain runs");
             return;
@@ -991,12 +963,55 @@ mod tests {
                 &mut qd_new,
                 &mut jac,
             );
-            let (_, _, fresh) =
-                structured_step(ChainIsa::detect(), &model, &s.q, &s.qd, &tau, 0.01);
+            let (_, _, fresh) = structured_step(Isa::detect(), &model, &s.q, &s.qd, &tau, 0.01);
             let bits = |a: f64, b: f64| a.to_bits() == b.to_bits();
             assert_entries("A", jac.a.as_slice(), fresh.a.as_slice(), bits);
             assert_entries("B", jac.b.as_slice(), fresh.b.as_slice(), bits);
         }
+    }
+
+    #[test]
+    fn aba_rk4_step_agrees_with_rk4_step() {
+        // The iLQR rollouts step with the O(n) ABA, the plant and the LQ
+        // pass with M⁻¹(τ − C): the two differ by rounding only.
+        let mut worst = 0.0f64;
+        for model in [robots::iiwa(), robots::serial_chain(3)] {
+            let nv = model.nv();
+            let mut ws = DynamicsWorkspace::new(&model);
+            let mut scratch = rbd_dynamics::RolloutScratch::for_model(&model);
+            let (mut q_new, mut qd_new) = (vec![0.0; model.nq()], vec![0.0; nv]);
+            let mut rng = rbd_model::SplitMix64::new(13);
+            for seed in 0..200 {
+                let s = random_state(&model, seed);
+                let tau: Vec<f64> = (0..nv).map(|_| rng.next_symmetric()).collect();
+                let (q_ref, qd_ref) = rk4_step(&model, &mut ws, &s.q, &s.qd, &tau, 0.02);
+                rbd_dynamics::rk4_step_aba_into(
+                    &model,
+                    &mut ws,
+                    &mut scratch,
+                    &s.q,
+                    &s.qd,
+                    &tau,
+                    0.02,
+                    &mut q_new,
+                    &mut qd_new,
+                )
+                .unwrap();
+                let err = q_new
+                    .iter()
+                    .zip(&q_ref)
+                    .chain(qd_new.iter().zip(&qd_ref))
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max);
+                assert!(
+                    err <= 1e-13,
+                    "{} seed {seed}: max |Δx⁺| = {err:e}",
+                    model.name()
+                );
+                worst = worst.max(err);
+            }
+        }
+        eprintln!("max |Δx⁺| between the ABA and M⁻¹ RK4 steps: {worst:e}");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 pub mod ilqr;
 pub mod integrator;
+mod isa;
 pub mod mpc;
 pub mod mppi;
 pub mod scheduler;

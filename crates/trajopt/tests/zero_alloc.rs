@@ -2,6 +2,8 @@
 //! approximation — performs zero steady-state heap allocation once its
 //! [`Rk4SensScratch`] and outputs are warm: a counting global allocator
 //! watches every alloc while the hot path runs against reused storage.
+//! The same allocator shows that a warm iLQR solve allocates only the
+//! result it returns.
 //!
 //! The tests share one process and run on libtest's parallel threads;
 //! the counting allocator (shared with `rbd-dynamics`' proofs) counts
@@ -161,4 +163,50 @@ fn batched_multi_worker_lq_phase_does_not_allocate_in_steady_state() {
         "multi-worker batched LQ phase allocated {count} time(s)"
     );
     assert_eq!(batch.last_workers(), 4);
+}
+
+#[test]
+fn warm_ilqr_solve_allocates_only_its_result() {
+    let _serial = serial();
+    // A warm solve's count must not depend on how many iterations it
+    // runs: every LQ pass, Riccati pass and line-search rollout beyond
+    // the first iteration is then allocation-free, and what is left is
+    // the returned IlqrResult (cost history, controls, trajectory).
+    use rbd_trajopt::{Ilqr, IlqrOptions};
+    let model = robots::iiwa();
+    let nv = model.nv();
+    let goal: Vec<f64> = (0..nv).map(|i| 0.4 - 0.1 * i as f64).collect();
+    let s = random_state(&model, 6);
+    let horizon = 20;
+    let mut counts = Vec::new();
+    for max_iters in [1, 4] {
+        let options = IlqrOptions {
+            horizon,
+            max_iters,
+            tol: 0.0,
+            ..IlqrOptions::default()
+        };
+        let mut ilqr = Ilqr::new(&model, goal.clone(), options);
+        // Warm-up: spawns the pool workers and sizes every buffer.
+        ilqr.solve(&s.q, &s.qd);
+        let mut r = None;
+        let count = alloc_count(|| r = Some(ilqr.solve(&s.q, &s.qd)));
+        let r = r.unwrap();
+        assert_eq!(
+            r.cost_history.len(),
+            max_iters + 1,
+            "every iteration must accept a step: {:?}",
+            r.cost_history
+        );
+        counts.push(count);
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "a warm solve allocated {} times at max_iters = 1 but {} at max_iters = 4",
+        counts[0], counts[1]
+    );
+    // The result alone: the cost history, the control vector of vectors
+    // and the trajectory of (q, q̇) pairs.
+    let result_allocs = 1 + (1 + horizon) + (1 + 2 * (horizon + 1));
+    assert_eq!(counts[0], result_allocs as u64);
 }
