@@ -4,7 +4,6 @@
 //! in `I_n`, one-hot `S_n`; Fig 7b/c: incremental columns; Fig 8b:
 //! symmetric `I^A` with priority vectors).
 
-use rbd_dynamics::DerivAlgo;
 use rbd_model::{JointType, RobotModel};
 
 /// Fixed-point multiply/add/special-function counts of one submodule
@@ -208,14 +207,13 @@ const IDSVA_PAIR: OpCount = OpCount {
 };
 
 /// Estimated total flop count (muls + adds) of one analytical ΔID
-/// evaluation on `model` under the given backend. The expansion model
-/// sums the paper's `Df`/`Db` submodules at each body's
-/// ancestor-column count; the IDSVA model sums per-body composite
-/// builds, per-DOF projections and two dots per related ordered DOF
-/// pair. Feed into `BatchEval::set_point_flops` (directly or through
-/// [`delta_fd_flops_with`]) so the pool's work gating stays honest for
-/// whichever backend a consumer selects.
-pub fn delta_id_flops(model: &RobotModel, backend: DerivAlgo) -> f64 {
+/// evaluation on `model` by the IDSVA kernel behind
+/// `rbd_dynamics::rnea_derivatives_into`: per-body composite builds,
+/// per-DOF projections and two dots per related ordered DOF pair. (The
+/// paper's accelerator instead runs the expansion's `Df`/`Db`
+/// submodules, [`df_cost`]/[`db_cost`].) Enters the pool's work gating
+/// through [`delta_fd_flops`].
+pub fn delta_id_flops(model: &RobotModel) -> f64 {
     let topo = model.topology();
     let mut total = OpCount::default();
     for i in 0..model.num_bodies() {
@@ -227,25 +225,15 @@ pub fn delta_id_flops(model: &RobotModel, backend: DerivAlgo) -> f64 {
                 .iter()
                 .map(|&a| model.joint(a).jtype.nv())
                 .sum::<usize>();
-        match backend {
-            DerivAlgo::Expansion => {
-                total = total
-                    .plus(df_cost(jt, chain_cols))
-                    .plus(db_cost(jt, chain_cols))
-                    .plus(trig_cost(jt));
-            }
-            DerivAlgo::Idsva => {
-                // Ordered related pairs owned by this body: its own
-                // DOFs against the full chain (row fill) plus the
-                // strict ancestors against its own DOFs (column fill).
-                let pairs = ni * chain_cols + ni * (chain_cols - ni);
-                total = total
-                    .plus(idsva_body_cost(jt))
-                    .plus(idsva_dof_cost().times(ni))
-                    .plus(IDSVA_PAIR.times(pairs))
-                    .plus(trig_cost(jt));
-            }
-        }
+        // Ordered related pairs owned by this body: its own DOFs against
+        // the full chain (row fill) plus the strict ancestors against its
+        // own DOFs (column fill).
+        let pairs = ni * chain_cols + ni * (chain_cols - ni);
+        total = total
+            .plus(idsva_body_cost(jt))
+            .plus(idsva_dof_cost().times(ni))
+            .plus(IDSVA_PAIR.times(pairs))
+            .plus(trig_cost(jt));
     }
     (total.mul + total.add) as f64
 }
@@ -306,22 +294,15 @@ pub fn trig_cost(jt: &JointType) -> OpCount {
 }
 
 /// Estimated total flop count (muls + adds) of one analytical ΔFD
-/// evaluation on `model`, from the paper's per-submodule operation
-/// models: the ΔRNEA sweeps (`Df`/`Db`) and the MMinvGen sweeps
-/// (`Mb`/`Mf`) at each body's ancestor-column count, plus the final
-/// dense `-M⁻¹·∂τ` products. This is the **work-based gating hook** for
+/// evaluation on `model`: the ΔID sweeps ([`delta_id_flops`]), the
+/// paper's MMinvGen submodules (`Mb`/`Mf`) at each body's
+/// ancestor-column count, and the final dense `-M⁻¹·∂τ` products. This
+/// is the **work-based gating hook** for
 /// `rbd_dynamics::BatchEval::set_point_flops`: a paper-accurate
 /// replacement for size heuristics (like iLQR's old `nv >= 4` rule)
 /// when deciding whether a batch is worth fanning out across the
 /// worker pool.
 pub fn delta_fd_flops(model: &RobotModel) -> f64 {
-    delta_fd_flops_with(model, DerivAlgo::default())
-}
-
-/// [`delta_fd_flops`] with an explicit ΔID backend for the inner
-/// derivative sweeps (the MMinvGen sweeps and the final `−M⁻¹·∂τ`
-/// products are backend-independent).
-pub fn delta_fd_flops_with(model: &RobotModel, backend: DerivAlgo) -> f64 {
     let topo = model.topology();
     let mut total = OpCount::default();
     for i in 0..model.num_bodies() {
@@ -341,7 +322,7 @@ pub fn delta_fd_flops_with(model: &RobotModel, backend: DerivAlgo) -> f64 {
     // ΔID sweeps + MMinvGen sweeps + the final −M⁻¹·∂τ products over the
     // two nv×nv derivative blocks (branch-sparse in practice; dense here
     // as a safe upper estimate).
-    delta_id_flops(model, backend) + (total.mul + total.add) as f64 + 4.0 * nv * nv * nv
+    delta_id_flops(model) + (total.mul + total.add) as f64 + 4.0 * nv * nv * nv
 }
 
 /// Dense `nv×nv` products in the RK4 sensitivity chain of one step:
@@ -356,14 +337,8 @@ const RK4_SENS_CHAIN_PRODUCTS: usize = 3 + 6 + 6;
 /// each) that combine them. Install into
 /// `BatchEval::set_point_flops` before batching LQ points.
 pub fn rk4_sens_point_flops(model: &RobotModel) -> f64 {
-    rk4_sens_point_flops_with(model, DerivAlgo::default())
-}
-
-/// [`rk4_sens_point_flops`] with an explicit ΔID backend for the four
-/// stage ΔFD evaluations.
-pub fn rk4_sens_point_flops_with(model: &RobotModel, backend: DerivAlgo) -> f64 {
     let nv = model.nv() as f64;
-    4.0 * delta_fd_flops_with(model, backend) + RK4_SENS_CHAIN_PRODUCTS as f64 * 2.0 * nv * nv * nv
+    4.0 * delta_fd_flops(model) + RK4_SENS_CHAIN_PRODUCTS as f64 * 2.0 * nv * nv * nv
 }
 
 /// `Af_i`/`Ab_i` — articulated-body (ABA) per-body cost: pass 1
@@ -531,8 +506,23 @@ mod tests {
     fn idsva_estimate_undercuts_expansion_and_scales() {
         use rbd_model::robots;
         for m in [robots::iiwa(), robots::hyq(), robots::atlas()] {
-            let exp = delta_id_flops(&m, DerivAlgo::Expansion);
-            let idsva = delta_id_flops(&m, DerivAlgo::Idsva);
+            // The expansion's op model: the paper's `Df`/`Db` submodules
+            // at each body's ancestor-column count, plus its trig.
+            let topo = m.topology();
+            let exp_ops = (0..m.num_bodies()).fold(OpCount::default(), |acc, i| {
+                let jt = &m.joint(i).jtype;
+                let cols = jt.nv()
+                    + topo
+                        .ancestors(i)
+                        .iter()
+                        .map(|&a| m.joint(a).jtype.nv())
+                        .sum::<usize>();
+                acc.plus(df_cost(jt, cols))
+                    .plus(db_cost(jt, cols))
+                    .plus(trig_cost(jt))
+            });
+            let exp = (exp_ops.mul + exp_ops.add) as f64;
+            let idsva = delta_id_flops(&m);
             // The IDSVA restructure must be modelled as cheaper (the
             // measured kernels are 2-3.5x faster; the op model is more
             // conservative but must preserve the ordering).
@@ -542,15 +532,10 @@ mod tests {
                 m.name()
             );
             assert!(idsva > 0.0);
-            // The ΔFD wrapper orders the same way.
-            assert!(
-                delta_fd_flops_with(&m, DerivAlgo::Idsva)
-                    < delta_fd_flops_with(&m, DerivAlgo::Expansion)
-            );
         }
-        // Deeper trees cost more under both models.
-        let small = delta_id_flops(&robots::iiwa(), DerivAlgo::Idsva);
-        let large = delta_id_flops(&robots::atlas(), DerivAlgo::Idsva);
+        // Deeper trees cost more.
+        let small = delta_id_flops(&robots::iiwa());
+        let large = delta_id_flops(&robots::atlas());
         assert!(large > small);
     }
 

@@ -1,6 +1,6 @@
 //! Derivative-throughput benchmark: single-thread latency of the
 //! ΔRNEA/ΔFD kernels (allocating wrappers, the zero-allocation `*_into`
-//! fast path, and both ΔID backends explicitly), batched multi-thread
+//! fast path, and the reference expansion ΔID), batched multi-thread
 //! throughput through `BatchEval` and the RK4-with-sensitivity step
 //! built on them (`integrator/*/rk4_sens`), emitting a
 //! machine-readable `BENCH_derivatives.json` so future PRs have a perf
@@ -12,10 +12,9 @@
 
 use rbd_bench::harness::{iso8601_utc, Bench, BenchReport, HostMeta};
 use rbd_dynamics::{
-    fd_derivatives, fd_derivatives_into, fd_derivatives_with_algo_into, lanes::LaneWorkspace,
-    rk4_rollout_lanes_into, rnea_derivatives, rnea_derivatives_into,
-    rnea_derivatives_with_algo_into, BatchEval, DerivAlgo, DynamicsWorkspace, FdDerivatives,
-    LaneRolloutScratch, RneaDerivatives, SamplePoint,
+    fd_derivatives, fd_derivatives_into, lanes::LaneWorkspace, rk4_rollout_lanes_into,
+    rnea_derivatives, rnea_derivatives_expansion_into, rnea_derivatives_into, BatchEval,
+    DynamicsWorkspace, FdDerivatives, LaneRolloutScratch, RneaDerivatives, SamplePoint,
 };
 use rbd_model::{random_state, robots, RobotModel};
 use rbd_trajopt::{
@@ -103,36 +102,23 @@ fn main() {
             fd_derivatives(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap()
         });
 
-        // Zero-allocation fast path with the default backend (outputs
-        // reused across calls), plus one explicit row per ΔID backend so
-        // the expansion-vs-IDSVA gap stays measured even as the default
-        // moves.
+        // Zero-allocation fast path (outputs reused across calls), plus
+        // the reference expansion ΔID so the IDSVA-vs-expansion gap
+        // stays measured (`dID_into` vs `dID_expansion`).
         {
             let mut out = RneaDerivatives::zeros(nv);
             group.bench("dID_into", || {
                 rnea_derivatives_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut out);
             });
-            for algo in [DerivAlgo::Expansion, DerivAlgo::Idsva] {
-                group.bench(&format!("dID_{algo}"), || {
-                    rnea_derivatives_with_algo_into(
-                        &model, &mut ws, &s.q, &s.qd, &qdd, None, algo, &mut out,
-                    );
-                });
-            }
+            group.bench("dID_expansion", || {
+                rnea_derivatives_expansion_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut out);
+            });
         }
         {
             let mut out = FdDerivatives::zeros(nv);
             group.bench("dFD_into", || {
                 fd_derivatives_into(&model, &mut ws, &s.q, &s.qd, &tau, None, &mut out).unwrap();
             });
-            for algo in [DerivAlgo::Expansion, DerivAlgo::Idsva] {
-                group.bench(&format!("dFD_{algo}"), || {
-                    fd_derivatives_with_algo_into(
-                        &model, &mut ws, &s.q, &s.qd, &tau, None, algo, &mut out,
-                    )
-                    .unwrap();
-                });
-            }
         }
 
         // Batched throughput: 64 points through the persistent worker

@@ -357,9 +357,8 @@ impl<'m> BatchEval<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::derivatives::{rnea_derivatives_into, RneaDerivatives};
     use crate::fd::fd_derivatives;
-    use crate::rnea_derivatives;
+    use crate::{rnea_derivatives, rnea_derivatives_into, RneaDerivatives};
     use rbd_model::{random_state, robots};
     use std::convert::Infallible;
 

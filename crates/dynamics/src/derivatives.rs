@@ -9,53 +9,23 @@
 //! manifold (`q ⊕ δ` through each joint's exponential map), which for
 //! revolute/prismatic joints coincides with plain partial derivatives.
 //!
-//! The kernel is allocation-free in steady state: all intermediate
-//! per-body/per-DOF tables live in flat, stride-indexed
-//! [`DynamicsWorkspace`] buffers, and [`rnea_derivatives_into`] writes
-//! into a caller-reused [`RneaDerivatives`]. The backward pass walks the
-//! precomputed related-DOF sets instead of all `nv` columns, exploiting
-//! the branch-induced sparsity of `∂τ` (Fig 5).
+//! This expansion ([`rnea_derivatives_expansion_into`]) is the reference
+//! implementation. The production entry points [`rnea_derivatives`] and
+//! [`rnea_derivatives_into`] run the IDSVA kernel of [`crate::idsva`],
+//! which computes the same derivatives with fewer operations and is
+//! cross-checked against this one.
+//!
+//! The expansion kernel is allocation-free in steady state: all
+//! intermediate per-body/per-DOF tables live in flat, stride-indexed
+//! [`DynamicsWorkspace`] buffers, and it writes into a caller-reused
+//! [`RneaDerivatives`]. The backward pass walks the precomputed
+//! related-DOF sets instead of all `nv` columns, exploiting the
+//! branch-induced sparsity of `∂τ` (Fig 5).
 
+use crate::idsva::rnea_derivatives_into;
 use crate::workspace::DynamicsWorkspace;
 use rbd_model::RobotModel;
 use rbd_spatial::{ForceVec, MatN, MotionVec, SpatialInertia};
-
-/// Selects the analytical ΔID backend used by [`rnea_derivatives_into`]
-/// and everything downstream of it (`fd_derivatives*`, `BatchEval`, the
-/// RK4 sensitivity chain and the iLQR LQ phase).
-///
-/// Both backends compute the same `∂τ/∂q`, `∂τ/∂q̇` up to f64 rounding
-/// (cross-checked to ≤1e-9 in
-/// `crates/dynamics/tests/backend_equivalence.rs`); they differ only in
-/// operation count and memory traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DerivAlgo {
-    /// Carpentier–Mansard chain-table expansion (RSS 2018) — the
-    /// reference implementation ([`rnea_derivatives_expansion_into`]).
-    Expansion,
-    /// IDSVA composite-quantity formulation (Singh/Russell/Wensing,
-    /// RA-L 2022) — ~30% fewer operations on the single-thread hot
-    /// path; the default
-    /// ([`crate::rnea_derivatives_idsva_into`]).
-    #[default]
-    Idsva,
-}
-
-impl DerivAlgo {
-    /// Stable lowercase name (used by profiles and bench row labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Expansion => "expansion",
-            Self::Idsva => "idsva",
-        }
-    }
-}
-
-impl std::fmt::Display for DerivAlgo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Result of [`rnea_derivatives`].
 #[derive(Debug, Clone, Default)]
@@ -170,55 +140,11 @@ pub fn rnea_derivatives(
     out
 }
 
-/// [`rnea_derivatives`] into caller-reused output storage: performs zero
-/// heap allocation in steady state (all scratch lives in `ws`, `out` is
-/// resized only on the first call). Dispatches to the default
-/// [`DerivAlgo`] backend; use [`rnea_derivatives_with_algo_into`] to
-/// select one explicitly.
-///
-/// # Panics
-/// Panics on input dimension mismatches.
-pub fn rnea_derivatives_into(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    qdd: &[f64],
-    fext: Option<&[ForceVec]>,
-    out: &mut RneaDerivatives,
-) {
-    rnea_derivatives_with_algo_into(model, ws, q, qd, qdd, fext, DerivAlgo::default(), out);
-}
-
-/// [`rnea_derivatives_into`] with an explicit [`DerivAlgo`] backend.
-///
-/// # Panics
-/// Panics on input dimension mismatches.
-#[allow(clippy::too_many_arguments)] // the ΔID signature + selector + output
-pub fn rnea_derivatives_with_algo_into(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    qdd: &[f64],
-    fext: Option<&[ForceVec]>,
-    algo: DerivAlgo,
-    out: &mut RneaDerivatives,
-) {
-    match algo {
-        DerivAlgo::Expansion => {
-            rnea_derivatives_expansion_into(model, ws, q, qd, qdd, fext, out);
-        }
-        DerivAlgo::Idsva => {
-            crate::idsva::rnea_derivatives_idsva_into(model, ws, q, qd, qdd, fext, out);
-        }
-    }
-}
-
-/// The Carpentier–Mansard expansion backend ([`DerivAlgo::Expansion`]):
-/// chain-compacted `∂v`/`∂a` tables, per-pair force differentiation.
-/// Kept as the reference implementation the IDSVA backend is
-/// cross-validated against.
+/// Analytical `ΔID` via the Carpentier–Mansard expansion: chain-compacted
+/// `∂v`/`∂a` tables, per-pair force differentiation. Kept as the
+/// reference implementation that [`rnea_derivatives_into`] (IDSVA) is
+/// cross-validated against; same signature and outputs up to f64
+/// rounding, zero heap allocation in steady state.
 ///
 /// # Panics
 /// Panics on input dimension mismatches.

@@ -36,10 +36,13 @@
 //!    column-side projections share one compact operator.
 //!
 //! With the per-pair cost down to two fused dot pairs, the single-thread
-//! hot path drops well below the expansion backend (see the
-//! `dID_idsva` rows in `BENCH_derivatives.json`); the expansion is kept
-//! as the reference implementation and both are cross-checked against
-//! each other and central finite differences in
+//! hot path drops well below the expansion (compare the `dID_into` and
+//! `dID_expansion` rows in `BENCH_derivatives.json`). This kernel is
+//! therefore the one behind [`rnea_derivatives_into`] and every
+//! production path built on it (ΔFD/ΔiFD, `BatchEval`, the RK4
+//! sensitivity chain, iLQR). The expansion is kept as the reference
+//! implementation; both are cross-checked against each other and
+//! central finite differences in
 //! `crates/dynamics/tests/backend_equivalence.rs`.
 //!
 //! The kernel is allocation-free in steady state: every composite and
@@ -51,26 +54,28 @@ use crate::workspace::DynamicsWorkspace;
 use rbd_model::RobotModel;
 use rbd_spatial::{ForceVec, MotionVec};
 
-/// Analytical `ΔID` via the IDSVA formulation — drop-in equivalent of
-/// [`crate::rnea_derivatives_into`] (same outputs up to f64 rounding,
-/// fewer operations on the single-thread hot path).
+/// [`crate::rnea_derivatives`] into caller-reused output storage, via the
+/// IDSVA formulation: performs zero heap allocation in steady state (all
+/// scratch lives in `ws`, `out` is resized only on the first call).
+/// Agrees with the reference
+/// [`crate::rnea_derivatives_expansion_into`] up to f64 rounding.
 ///
 /// # Panics
 /// Panics on input dimension mismatches.
 ///
 /// # Example
 /// ```
-/// use rbd_dynamics::{rnea_derivatives_idsva_into, RneaDerivatives, DynamicsWorkspace};
+/// use rbd_dynamics::{rnea_derivatives_into, RneaDerivatives, DynamicsWorkspace};
 /// use rbd_model::{robots, random_state};
 /// let model = robots::hyq();
 /// let mut ws = DynamicsWorkspace::new(&model);
 /// let s = random_state(&model, 0);
 /// let qdd = vec![0.0; model.nv()];
 /// let mut out = RneaDerivatives::zeros(model.nv());
-/// rnea_derivatives_idsva_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut out);
+/// rnea_derivatives_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut out);
 /// assert_eq!(out.dtau_dq.rows(), model.nv());
 /// ```
-pub fn rnea_derivatives_idsva_into(
+pub fn rnea_derivatives_into(
     model: &RobotModel,
     ws: &mut DynamicsWorkspace,
     q: &[f64],
@@ -283,7 +288,7 @@ mod tests {
         let qdd: Vec<f64> = (0..model.nv()).map(|k| 0.4 - 0.06 * k as f64).collect();
         let mut idsva = RneaDerivatives::zeros(model.nv());
         let mut exp = RneaDerivatives::zeros(model.nv());
-        rnea_derivatives_idsva_into(model, &mut ws, &s.q, &s.qd, &qdd, None, &mut idsva);
+        rnea_derivatives_into(model, &mut ws, &s.q, &s.qd, &qdd, None, &mut idsva);
         rnea_derivatives_expansion_into(model, &mut ws, &s.q, &s.qd, &qdd, None, &mut exp);
         let scale = 1.0 + exp.dtau_dq.max_abs().max(exp.dtau_dqd.max_abs());
         let err_q = (&idsva.dtau_dq - &exp.dtau_dq).max_abs() / scale;
@@ -333,7 +338,7 @@ mod tests {
             let s = random_state(&model, seed);
             let qdd: Vec<f64> = (0..model.nv()).map(|k| 0.5 - 0.07 * k as f64).collect();
             let mut out = RneaDerivatives::zeros(model.nv());
-            rnea_derivatives_idsva_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut out);
+            rnea_derivatives_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut out);
             let (ndq, ndqd) = rnea_derivatives_numeric(&model, &s.q, &s.qd, &qdd, None, 1e-6);
             let scale = 1.0 + ndq.max_abs().max(ndqd.max_abs());
             assert!(
@@ -356,7 +361,7 @@ mod tests {
                 .collect();
             let mut idsva = RneaDerivatives::zeros(model.nv());
             let mut exp = RneaDerivatives::zeros(model.nv());
-            rnea_derivatives_idsva_into(&model, &mut ws, &s.q, &s.qd, &qdd, Some(&fx), &mut idsva);
+            rnea_derivatives_into(&model, &mut ws, &s.q, &s.qd, &qdd, Some(&fx), &mut idsva);
             rnea_derivatives_expansion_into(
                 &model,
                 &mut ws,
@@ -387,20 +392,12 @@ mod tests {
             let s1 = random_state(&model, 31);
             let s2 = random_state(&model, 32);
             let qdd: Vec<f64> = (0..model.nv()).map(|k| 0.2 - 0.03 * k as f64).collect();
-            rnea_derivatives_idsva_into(&model, &mut ws, &s2.q, &s2.qd, &qdd, None, &mut out);
-            rnea_derivatives_idsva_into(&model, &mut ws, &s1.q, &s1.qd, &qdd, None, &mut out);
+            rnea_derivatives_into(&model, &mut ws, &s2.q, &s2.qd, &qdd, None, &mut out);
+            rnea_derivatives_into(&model, &mut ws, &s1.q, &s1.qd, &qdd, None, &mut out);
 
             let mut fresh_ws = DynamicsWorkspace::new(&model);
             let mut fresh = RneaDerivatives::zeros(model.nv());
-            rnea_derivatives_idsva_into(
-                &model,
-                &mut fresh_ws,
-                &s1.q,
-                &s1.qd,
-                &qdd,
-                None,
-                &mut fresh,
-            );
+            rnea_derivatives_into(&model, &mut fresh_ws, &s1.q, &s1.qd, &qdd, None, &mut fresh);
             assert_eq!(
                 (&out.dtau_dq - &fresh.dtau_dq).max_abs(),
                 0.0,
@@ -422,11 +419,11 @@ mod tests {
         let qdd = vec![0.25; model.nv()];
         let fx = vec![ForceVec::from_slice(&[1.0; 6]); model.num_bodies()];
         let mut dirty = RneaDerivatives::zeros(model.nv());
-        rnea_derivatives_idsva_into(&model, &mut ws, &s.q, &s.qd, &qdd, Some(&fx), &mut dirty);
-        rnea_derivatives_idsva_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut dirty);
+        rnea_derivatives_into(&model, &mut ws, &s.q, &s.qd, &qdd, Some(&fx), &mut dirty);
+        rnea_derivatives_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut dirty);
         let mut fresh_ws = DynamicsWorkspace::new(&model);
         let mut fresh = RneaDerivatives::zeros(model.nv());
-        rnea_derivatives_idsva_into(&model, &mut fresh_ws, &s.q, &s.qd, &qdd, None, &mut fresh);
+        rnea_derivatives_into(&model, &mut fresh_ws, &s.q, &s.qd, &qdd, None, &mut fresh);
         assert_eq!((&dirty.dtau_dq - &fresh.dtau_dq).max_abs(), 0.0);
         assert_eq!((&dirty.dtau_dqd - &fresh.dtau_dqd).max_abs(), 0.0);
     }

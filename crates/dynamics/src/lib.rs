@@ -17,16 +17,15 @@
 //!
 //! # Derivative backends
 //!
-//! The analytical ΔID (and hence ΔFD/ΔiFD, which evaluate it
-//! internally) has two interchangeable backends behind [`DerivAlgo`]:
-//! the Carpentier–Mansard chain-table expansion
-//! ([`rnea_derivatives_expansion_into`], the reference) and the IDSVA
-//! composite-quantity formulation
-//! ([`rnea_derivatives_idsva_into`], Singh/Russell/Wensing RA-L 2022,
-//! the default — 2-3x faster single-thread on the evaluation robots).
-//! Both agree to ≤1e-9 on every test model
-//! (`tests/backend_equivalence.rs`); select one explicitly through the
-//! `*_with_algo_into` entry points.
+//! Every production derivative path runs one analytical ΔID: the IDSVA
+//! composite-quantity formulation (Singh/Russell/Wensing RA-L 2022,
+//! [`idsva`]) behind [`rnea_derivatives`] / [`rnea_derivatives_into`],
+//! and hence behind ΔFD/ΔiFD, [`BatchEval`], the RK4 sensitivity chain
+//! and iLQR. It is 2-3x faster single-thread than the
+//! Carpentier–Mansard chain-table expansion on the evaluation robots.
+//! The expansion stays public as the reference implementation,
+//! [`rnea_derivatives_expansion_into`]; the two agree to ≤1e-9 on every
+//! test model, including through ΔFD (`tests/backend_equivalence.rs`).
 //!
 //! # Workspace-reuse convention
 //!
@@ -95,18 +94,14 @@ pub mod workspace;
 pub use aba::{aba, aba_in_ws};
 pub use batch::{BatchEval, SamplePoint, FLOPS_PER_WORKER};
 pub use crba::{crba, crba_into};
-pub use derivatives::{
-    rnea_derivatives, rnea_derivatives_expansion_into, rnea_derivatives_into,
-    rnea_derivatives_with_algo_into, DerivAlgo, RneaDerivatives,
-};
+pub use derivatives::{rnea_derivatives, rnea_derivatives_expansion_into, RneaDerivatives};
 pub use energy::{kinetic_energy, potential_energy, total_energy};
 pub use fd::{
-    fd_derivatives, fd_derivatives_into, fd_derivatives_with_algo_into, fd_derivatives_with_minv,
-    fd_derivatives_with_minv_algo_into, fd_derivatives_with_minv_into, forward_dynamics,
-    forward_dynamics_into, FdDerivatives,
+    fd_derivatives, fd_derivatives_into, fd_derivatives_with_minv, fd_derivatives_with_minv_into,
+    forward_dynamics, forward_dynamics_into, FdDerivatives,
 };
 pub use finite_diff::{fd_derivatives_numeric, rnea_derivatives_numeric};
-pub use idsva::rnea_derivatives_idsva_into;
+pub use idsva::rnea_derivatives_into;
 pub use jacobian::{body_jacobian_world, body_position_world, point_velocity_world};
 pub use lanes::{
     forward_dynamics_aba_lanes_in_ws, rk4_rollout_into, rk4_rollout_lanes_into, rk4_step_aba_into,

@@ -1,17 +1,19 @@
 //! ΔID backend equivalence and floating-base oracle coverage, run in
 //! the default (non-proptest) CI job.
 //!
-//! * The IDSVA and expansion backends must agree to ≤1e-9 (relative) on
-//!   every test model at randomized states — the acceptance tolerance
-//!   for treating them as interchangeable behind [`DerivAlgo`].
+//! * The IDSVA kernel behind `rnea_derivatives_into` (and so behind
+//!   every production derivative path) must agree with the reference
+//!   expansion `rnea_derivatives_expansion_into` to ≤1e-9 (relative) on
+//!   every test model at randomized states, directly and through ΔFD.
 //! * The floating-base Atlas gets a dedicated central-finite-difference
 //!   cross-check at randomized states *and randomized `q̈`* (the
 //!   in-module property suites lean on fixed-base arms and
 //!   deterministic `q̈` ramps).
 
 use rbd_dynamics::{
-    fd_derivatives_with_algo_into, rnea_derivatives_numeric, rnea_derivatives_with_algo_into,
-    DerivAlgo, DynamicsWorkspace, FdDerivatives, RneaDerivatives,
+    fd_derivatives_into, forward_dynamics, mminv_gen, rnea_derivatives_expansion_into,
+    rnea_derivatives_into, rnea_derivatives_numeric, DynamicsWorkspace, FdDerivatives,
+    RneaDerivatives,
 };
 use rbd_model::{random_state, robots, RobotModel};
 
@@ -47,26 +49,8 @@ fn backend_disagreement(model: &RobotModel, seed: u64, qdd: &[f64]) -> f64 {
     let s = random_state(model, seed);
     let mut idsva = RneaDerivatives::zeros(model.nv());
     let mut exp = RneaDerivatives::zeros(model.nv());
-    rnea_derivatives_with_algo_into(
-        model,
-        &mut ws,
-        &s.q,
-        &s.qd,
-        qdd,
-        None,
-        DerivAlgo::Idsva,
-        &mut idsva,
-    );
-    rnea_derivatives_with_algo_into(
-        model,
-        &mut ws,
-        &s.q,
-        &s.qd,
-        qdd,
-        None,
-        DerivAlgo::Expansion,
-        &mut exp,
-    );
+    rnea_derivatives_into(model, &mut ws, &s.q, &s.qd, qdd, None, &mut idsva);
+    rnea_derivatives_expansion_into(model, &mut ws, &s.q, &s.qd, qdd, None, &mut exp);
     let scale = 1.0 + exp.dtau_dq.max_abs().max(exp.dtau_dqd.max_abs());
     let dq = (&idsva.dtau_dq - &exp.dtau_dq).max_abs();
     let dqd = (&idsva.dtau_dqd - &exp.dtau_dqd).max_abs();
@@ -99,9 +83,10 @@ fn backends_agree_to_1e9_on_all_test_models() {
     }
 }
 
-/// The ΔFD chain must agree across backends too (the `M⁻¹` gather and
-/// the sparse tail are backend-independent, so any disagreement comes
-/// from ΔID alone).
+/// ΔFD must agree with an expansion reference assembled from its
+/// definition, `∂q̈/∂u = −M⁻¹·∂τ/∂u` at `q̈ = FD(q, q̇, τ)`: the `M⁻¹`
+/// gather and the sparse tail are backend-independent, so any
+/// disagreement comes from ΔID alone.
 #[test]
 fn dfd_backends_agree_to_1e9() {
     let mut rng = Rng::new(0xFD);
@@ -110,44 +95,38 @@ fn dfd_backends_agree_to_1e9() {
         let s = random_state(&model, 77);
         let tau = random_qdd(&mut rng, model.nv(), 2.0);
         let mut a = FdDerivatives::zeros(model.nv());
-        let mut b = FdDerivatives::zeros(model.nv());
-        fd_derivatives_with_algo_into(
-            &model,
-            &mut ws,
-            &s.q,
-            &s.qd,
-            &tau,
-            None,
-            DerivAlgo::Idsva,
-            &mut a,
-        )
-        .unwrap();
-        fd_derivatives_with_algo_into(
-            &model,
-            &mut ws,
-            &s.q,
-            &s.qd,
-            &tau,
-            None,
-            DerivAlgo::Expansion,
-            &mut b,
-        )
-        .unwrap();
-        let scale = 1.0 + b.dqdd_dq.max_abs().max(b.dqdd_dqd.max_abs());
+        fd_derivatives_into(&model, &mut ws, &s.q, &s.qd, &tau, None, &mut a).unwrap();
+
+        // Reference: MMinvGen's M⁻¹, the expansion ΔID at ΔFD's own q̈,
+        // then the dense −M⁻¹·∂τ products.
+        let minv = mminv_gen(&model, &mut ws, &s.q, false, true)
+            .unwrap()
+            .minv
+            .unwrap();
+        let mut exp = RneaDerivatives::zeros(model.nv());
+        rnea_derivatives_expansion_into(&model, &mut ws, &s.q, &s.qd, &a.qdd, None, &mut exp);
+        let mut b_dq = minv.mul_mat(&exp.dtau_dq);
+        let mut b_dqd = minv.mul_mat(&exp.dtau_dqd);
+        b_dq.scale(-1.0);
+        b_dqd.scale(-1.0);
+
+        let scale = 1.0 + b_dq.max_abs().max(b_dqd.max_abs());
         assert!(
-            (&a.dqdd_dq - &b.dqdd_dq).max_abs() / scale <= 1e-9,
+            (&a.dqdd_dq - &b_dq).max_abs() / scale <= 1e-9,
             "{}",
             model.name()
         );
-        assert!((&a.dqdd_dqd - &b.dqdd_dqd).max_abs() / scale <= 1e-9);
-        // qdd and M⁻¹ are computed identically — bit-equal.
-        assert_eq!(a.qdd, b.qdd);
-        assert_eq!((&a.dqdd_dtau - &b.dqdd_dtau).max_abs(), 0.0);
+        assert!((&a.dqdd_dqd - &b_dqd).max_abs() / scale <= 1e-9);
+        // q̈ and M⁻¹ are computed identically — bit-equal.
+        let qdd = forward_dynamics(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap();
+        assert_eq!(a.qdd, qdd);
+        assert_eq!((&a.dqdd_dtau - &minv).max_abs(), 0.0);
     }
 }
 
 /// Floating-base Atlas against the central-difference oracle at
-/// randomized states and randomized `q̈`, for both backends.
+/// randomized states and randomized `q̈`, for the IDSVA kernel and the
+/// reference expansion.
 #[test]
 fn atlas_floating_base_matches_finite_differences_at_random_states() {
     let model = robots::atlas();
@@ -162,11 +141,11 @@ fn atlas_floating_base_matches_finite_differences_at_random_states() {
         let qdd = random_qdd(&mut rng, model.nv(), 4.0);
         let (ndq, ndqd) = rnea_derivatives_numeric(&model, &s.q, &s.qd, &qdd, None, 1e-6);
         let scale = 1.0 + ndq.max_abs().max(ndqd.max_abs());
-        for algo in [DerivAlgo::Idsva, DerivAlgo::Expansion] {
-            let mut out = RneaDerivatives::zeros(model.nv());
-            rnea_derivatives_with_algo_into(
-                &model, &mut ws, &s.q, &s.qd, &qdd, None, algo, &mut out,
-            );
+        let mut idsva = RneaDerivatives::zeros(model.nv());
+        let mut exp = RneaDerivatives::zeros(model.nv());
+        rnea_derivatives_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut idsva);
+        rnea_derivatives_expansion_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut exp);
+        for (algo, out) in [("idsva", &idsva), ("expansion", &exp)] {
             let eq = (&out.dtau_dq - &ndq).max_abs() / scale;
             let eqd = (&out.dtau_dqd - &ndqd).max_abs() / scale;
             assert!(eq < 1e-5, "round {round} {algo}: ∂τ/∂q error {eq}");

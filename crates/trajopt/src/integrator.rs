@@ -6,7 +6,7 @@
 //! independent.
 
 use crate::isa::Isa;
-use rbd_dynamics::{fd_derivatives_with_algo_into, DerivAlgo, DynamicsWorkspace, FdDerivatives};
+use rbd_dynamics::{fd_derivatives_into, DynamicsWorkspace, FdDerivatives};
 use rbd_model::{integrate_config, integrate_config_into, RobotModel};
 use rbd_spatial::MatN;
 
@@ -101,12 +101,6 @@ type Blocks = [Vec<f64>; 3];
 /// state.
 #[derive(Debug, Clone, Default)]
 pub struct Rk4SensScratch {
-    /// ΔID backend used by the four ΔFD stage evaluations. Defaults to
-    /// [`DerivAlgo::default`]; set it (e.g. via
-    /// [`Rk4SensScratch::set_deriv_algo`]) before dispatching to pin a
-    /// backend — the scratch is the per-executor context, so this is how
-    /// the selector threads through the batched LQ phase.
-    pub deriv_algo: DerivAlgo,
     /// ΔFD outputs of the four stages. Stage 1's `(J_q, J_q̇, M⁻¹)` is
     /// also its acceleration sensitivity `s_k₁a` (the incoming
     /// sensitivities are the identity).
@@ -168,11 +162,6 @@ impl Rk4SensScratch {
         let mut s = Self::default();
         s.ensure_dims(model);
         s
-    }
-
-    /// Selects the ΔID backend of the stage ΔFD evaluations.
-    pub fn set_deriv_algo(&mut self, algo: DerivAlgo) {
-        self.deriv_algo = algo;
     }
 
     /// Sizes every buffer for `model`; allocation-free when already
@@ -298,7 +287,6 @@ fn rk4_sens_step(
     jac.b.resize(2 * nv, nv);
 
     let Rk4SensScratch {
-        deriv_algo,
         d,
         chain,
         q_stage,
@@ -306,9 +294,8 @@ fn rk4_sens_step(
         vbar,
     } = scratch;
     let [qd2, qd3, qd4] = qd_stage;
-    let algo = *deriv_algo;
     let mut fd = |q_i: &[f64], qd_i: &[f64], out: &mut FdDerivatives| {
-        fd_derivatives_with_algo_into(model, ws, q_i, qd_i, tau, None, algo, out).expect("ΔFD");
+        fd_derivatives_into(model, ws, q_i, qd_i, tau, None, out).expect("ΔFD");
     };
 
     // The state path: four serial ΔFD stages. The sensitivities never
@@ -695,17 +682,7 @@ mod dense_reference {
         let nv = model.nv();
         let mut d = FdDerivatives::zeros(nv);
         let mut tmp = MatN::zeros(nv, nv);
-        fd_derivatives_with_algo_into(
-            model,
-            ws,
-            q_i,
-            qd_i,
-            tau,
-            None,
-            DerivAlgo::default(),
-            &mut d,
-        )
-        .expect("ΔFD");
+        fd_derivatives_into(model, ws, q_i, qd_i, tau, None, &mut d).expect("ΔFD");
         ka_out.copy_from_slice(&d.qdd);
         let mut chain2 = |a: &MatN, b: &MatN, out: &mut MatN| {
             d.dqdd_dq.mul_mat_into(a, out);

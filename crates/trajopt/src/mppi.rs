@@ -75,9 +75,11 @@ impl Default for MppiOptions {
 /// Outcome (and wall-clock breakdown) of one MPPI iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MppiStep {
-    /// Best sampled trajectory cost this iteration.
+    /// Best sampled trajectory cost this iteration (`+∞` when no sample
+    /// scored a finite cost).
     pub best_cost: f64,
-    /// Softmax-weighted mean cost.
+    /// Softmax-weighted mean cost over the finite-cost samples (`+∞`
+    /// when there are none).
     pub mean_cost: f64,
     /// Effective sample size `(Σw)²/Σw²` of the softmax weights.
     pub effective_samples: f64,
@@ -301,26 +303,39 @@ impl<'m> Mppi<'m> {
         let rollout_s = t.elapsed().as_secs_f64();
         let batch_threads = self.batch.last_workers();
 
-        // Phase 3: softmax blend of the perturbations.
+        // Phase 3: softmax blend of the perturbations. A non-finite cost
+        // (a diverged or NaN rollout) gets weight exactly 0, so it cannot
+        // poison `eta` and through it the nominal; `f64::min` already
+        // skips NaN, so `beta` is the best finite cost (or +∞). With no
+        // finite cost every weight is 0 and the nominal stays unchanged.
         let t = Instant::now();
         let beta = self.costs.iter().copied().fold(f64::INFINITY, f64::min);
         let lambda = self.opts.lambda.max(1e-12);
         let mut eta = 0.0;
         let mut sq = 0.0;
         for (w, &c) in self.weights.iter_mut().zip(&self.costs) {
-            *w = (-(c - beta) / lambda).exp();
+            *w = if c.is_finite() {
+                (-(c - beta) / lambda).exp()
+            } else {
+                0.0
+            };
             eta += *w;
             sq += *w * *w;
         }
-        let mut mean_cost = 0.0;
-        for (w, &c) in self.weights.iter_mut().zip(&self.costs) {
-            *w /= eta;
-            mean_cost += *w * c;
-        }
-        for (k, w) in self.weights.iter().enumerate() {
-            let dk = &self.noise[k * horizon * nv..(k + 1) * horizon * nv];
-            for (u, d) in self.nominal.iter_mut().zip(dk) {
-                *u += w * d;
+        let mut mean_cost = f64::INFINITY;
+        if eta > 0.0 {
+            mean_cost = 0.0;
+            for (w, &c) in self.weights.iter_mut().zip(&self.costs) {
+                *w /= eta;
+                if c.is_finite() {
+                    mean_cost += *w * c;
+                }
+            }
+            for (k, w) in self.weights.iter().enumerate() {
+                let dk = &self.noise[k * horizon * nv..(k + 1) * horizon * nv];
+                for (u, d) in self.nominal.iter_mut().zip(dk) {
+                    *u += w * d;
+                }
             }
         }
         let update_s = t.elapsed().as_secs_f64();
@@ -525,6 +540,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn non_finite_costs_do_not_poison_the_nominal() {
+        // σ = 1e3 torques diverge almost every rollout: 15 of these 16
+        // samples score a non-finite (mostly NaN) cost. Those samples
+        // must get zero weight, leaving the zero-perturbation sample 0 to
+        // carry the update.
+        let model = robots::iiwa();
+        let opts = MppiOptions {
+            samples: 16,
+            sigma: 1e3,
+            ..Default::default()
+        };
+        let mut mppi = Mppi::with_threads(&model, opts, 1);
+        let q0 = vec![0.1; model.nq()];
+        let qd0 = vec![0.0; model.nv()];
+        let step = mppi.iterate(&q0, &qd0);
+        let nonfinite = mppi.costs().iter().filter(|c| !c.is_finite()).count();
+        assert!(nonfinite > 0, "the case must exercise non-finite costs");
+        assert!(mppi.costs()[0].is_finite());
+        assert!(mppi.nominal().iter().all(|u| u.is_finite()));
+        assert!(step.mean_cost.is_finite(), "mean_cost {}", step.mean_cost);
+        assert!(step.effective_samples >= 1.0);
+    }
+
+    #[test]
+    fn no_finite_cost_leaves_the_nominal_unchanged() {
+        // A NaN start state makes every rollout, including the
+        // zero-perturbation one, non-finite: no weight, no update.
+        let model = robots::iiwa();
+        let opts = MppiOptions {
+            samples: 8,
+            ..Default::default()
+        };
+        let mut mppi = Mppi::with_threads(&model, opts, 1);
+        let mut q0 = vec![0.1; model.nq()];
+        q0[0] = f64::NAN;
+        let qd0 = vec![0.0; model.nv()];
+        let before = mppi.nominal().to_vec();
+        let step = mppi.iterate(&q0, &qd0);
+        assert!(mppi.costs().iter().all(|c| !c.is_finite()));
+        assert_eq!(mppi.nominal(), &before[..]);
+        assert_eq!(step.best_cost, f64::INFINITY);
+        assert_eq!(step.mean_cost, f64::INFINITY);
+        assert_eq!(step.effective_samples, 0.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::ilqr::{lq_jacobians_batched, LqScratch};
 use crate::integrator::{rk4_step_with_sensitivity_into, Rk4SensScratch, StepJacobians};
-use rbd_dynamics::{BatchEval, DerivAlgo, DynamicsWorkspace, FdDerivatives};
+use rbd_dynamics::{fd_derivatives_into, BatchEval, DynamicsWorkspace, FdDerivatives};
 use rbd_model::{random_state, RobotModel};
 use rbd_spatial::MatN;
 use std::time::Instant;
@@ -34,10 +34,6 @@ pub struct WorkloadProfile {
     /// (1 = the batch ran inline on the caller; can be below the
     /// requested thread count for small models/point counts).
     pub batch_threads: usize,
-    /// ΔID backend the LQ phase actually dispatched to (both the serial
-    /// and the batched measurement run the same backend), so profile
-    /// output stays unambiguous now that two backends exist.
-    pub deriv_algo: DerivAlgo,
 }
 
 impl WorkloadProfile {
@@ -78,16 +74,6 @@ pub fn profile_mpc_iteration(model: &RobotModel, n_points: usize) -> WorkloadPro
     profile_mpc_iteration_threaded(model, n_points, threads)
 }
 
-/// [`profile_mpc_iteration`] with an explicit worker count for the
-/// batched LQ measurement.
-pub fn profile_mpc_iteration_threaded(
-    model: &RobotModel,
-    n_points: usize,
-    threads: usize,
-) -> WorkloadProfile {
-    profile_mpc_iteration_with_algo(model, n_points, threads, DerivAlgo::default())
-}
-
 /// Repetitions of every timed phase in [`profile_mpc_iteration`]. Each
 /// point's share of a phase counts its fastest repetition, so a
 /// scheduling hiccup from a neighbouring process lands only in slower
@@ -99,7 +85,6 @@ const PROFILE_REPS: usize = 3;
 /// state is advanced with the ΔFD's own q̈ by-product, exactly as
 /// `rk4_step_with_sensitivity` does). Only the ΔFD calls are timed — the
 /// stage-state algebra is excluded.
-#[allow(clippy::too_many_arguments)] // the ΔFD signature + step + output scratch
 fn dfd_stages_s(
     model: &RobotModel,
     ws: &mut DynamicsWorkspace,
@@ -108,14 +93,12 @@ fn dfd_stages_s(
     qd: &[f64],
     tau: &[f64],
     dt: f64,
-    deriv_algo: DerivAlgo,
 ) -> f64 {
     let nv = model.nv();
     let mut elapsed = 0.0;
     let mut timed_dfd = |q: &[f64], qd: &[f64]| -> Vec<f64> {
         let t = Instant::now();
-        rbd_dynamics::fd_derivatives_with_algo_into(model, ws, q, qd, tau, None, deriv_algo, dfd)
-            .expect("ΔFD");
+        fd_derivatives_into(model, ws, q, qd, tau, None, dfd).expect("ΔFD");
         elapsed += t.elapsed().as_secs_f64();
         std::hint::black_box(&*dfd);
         dfd.qdd.clone()
@@ -134,9 +117,8 @@ fn dfd_stages_s(
     elapsed
 }
 
-/// [`profile_mpc_iteration_threaded`] with an explicit ΔID backend for
-/// every derivative evaluation in the profile (the reported
-/// [`WorkloadProfile::deriv_algo`] echoes it back).
+/// [`profile_mpc_iteration`] with an explicit worker count for the
+/// batched LQ measurement.
 ///
 /// Every phase is timed `PROFILE_REPS` (3) times. The serial phases (ΔFD
 /// subset, full RK4-sensitivity step, solver-chain step, rollout step)
@@ -144,11 +126,10 @@ fn dfd_stages_s(
 /// fastest repetition; the batched pass runs after each repetition and
 /// reports its fastest. Phases compared with each other thus see the
 /// same machine load.
-pub fn profile_mpc_iteration_with_algo(
+pub fn profile_mpc_iteration_threaded(
     model: &RobotModel,
     n_points: usize,
     threads: usize,
-    deriv_algo: DerivAlgo,
 ) -> WorkloadProfile {
     let mut ws = DynamicsWorkspace::new(model);
     let nv = model.nv();
@@ -164,29 +145,24 @@ pub fn profile_mpc_iteration_with_algo(
     // behavior. All buffers are pre-sized: steady state from call one.
     let mut dfd = FdDerivatives::zeros(nv);
     let mut sens = Rk4SensScratch::for_model(model);
-    sens.set_deriv_algo(deriv_algo);
     let mut q_next = vec![0.0; model.nq()];
     let mut qd_next = vec![0.0; nv];
     let mut jacs: Vec<StepJacobians> = (0..n_points).map(|_| StepJacobians::zeros(nv)).collect();
 
     // Same LQ approximation, batched across the persistent worker pool
     // (the embarrassingly-parallel axis of Fig 13) on the
-    // zero-allocation scratch-slot path, gated with the cost model of
-    // the selected backend; the warm-up call sizes the buffers so the
-    // timed calls measure the steady state an MPC loop lives in.
+    // zero-allocation scratch-slot path, gated with the RK4-point cost
+    // model; the warm-up call sizes the buffers so the timed calls
+    // measure the steady state an MPC loop lives in.
     let mut batch = BatchEval::with_threads(model, threads)
-        .with_point_flops(rbd_accel::ops::rk4_sens_point_flops_with(model, deriv_algo));
+        .with_point_flops(rbd_accel::ops::rk4_sens_point_flops(model));
     let traj: Vec<(Vec<f64>, Vec<f64>)> =
         states.iter().map(|s| (s.q.clone(), s.qd.clone())).collect();
     let us = vec![tau.clone(); n_points];
     let mut batched_jacs: Vec<StepJacobians> =
         (0..n_points).map(|_| StepJacobians::zeros(nv)).collect();
     let mut lq_scratch: Vec<LqScratch> = (0..batch.threads())
-        .map(|_| {
-            let mut s = LqScratch::for_model(model);
-            s.set_deriv_algo(deriv_algo);
-            s
-        })
+        .map(|_| LqScratch::for_model(model))
         .collect();
     let mut lq_batched = |batch: &mut BatchEval<'_>| {
         lq_jacobians_batched(batch, dt, &traj, &us, &mut batched_jacs, &mut lq_scratch);
@@ -205,7 +181,7 @@ pub fn profile_mpc_iteration_with_algo(
         // Serial Riccati-like chain over the Jacobians.
         let mut v = MatN::identity(nx);
         for ((s, jac), b) in states.iter().zip(jacs.iter_mut()).zip(best.iter_mut()) {
-            let dfd_s = dfd_stages_s(model, &mut ws, &mut dfd, &s.q, &s.qd, &tau, dt, deriv_algo);
+            let dfd_s = dfd_stages_s(model, &mut ws, &mut dfd, &s.q, &s.qd, &tau, dt);
             b[0] = b[0].min(dfd_s);
 
             let t = Instant::now();
@@ -257,7 +233,6 @@ pub fn profile_mpc_iteration_with_algo(
         other_s,
         lq_batch_s,
         batch_threads: batch.last_workers().max(1),
-        deriv_algo,
     }
 }
 
