@@ -174,17 +174,36 @@ mod tests {
         assert!(r.throughput() > 0.0);
     }
 
+    /// Serializes this module's wall-clock comparisons: run at the same
+    /// time on a 2-CPU host, each would time the other's load.
+    static TIMING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Each closure's best time over six interleaved rounds, alternating
+    /// which one runs first: a burst of load from elsewhere then slows a
+    /// round, not one side of the comparison.
+    fn best_interleaved(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64) {
+        let _serial = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+        let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+        for round in 0..6 {
+            if round % 2 == 0 {
+                best_a = best_a.min(a());
+                best_b = best_b.min(b());
+            } else {
+                best_b = best_b.min(b());
+                best_a = best_a.min(a());
+            }
+        }
+        (best_a, best_b)
+    }
+
     #[test]
     fn derivatives_slower_than_id_on_host() {
         let m = robots::iiwa();
-        let id = measure_function(&m, FunctionKind::Id, 64, 1, 4);
-        let dfd = measure_function(&m, FunctionKind::DFd, 64, 1, 4);
-        assert!(
-            dfd.latency_s() > 2.0 * id.latency_s(),
-            "dFD {} vs ID {}",
-            dfd.latency_s(),
-            id.latency_s()
+        let (id, dfd) = best_interleaved(
+            || measure_function(&m, FunctionKind::Id, 64, 1, 4).latency_s(),
+            || measure_function(&m, FunctionKind::DFd, 64, 1, 4).latency_s(),
         );
+        assert!(dfd > 2.0 * id, "dFD {dfd} vs ID {id}");
     }
 
     #[test]
@@ -197,16 +216,13 @@ mod tests {
             return;
         }
         let m = robots::hyq();
-        let t1 = measure_function(&m, FunctionKind::DId, 256, 1, 2);
-        let t4 = measure_function(&m, FunctionKind::DId, 256, cores.min(4), 2);
+        let threads = cores.min(4);
+        let (t1, tn) = best_interleaved(
+            || measure_function(&m, FunctionKind::DId, 256, 1, 2).seconds,
+            || measure_function(&m, FunctionKind::DId, 256, threads, 2).seconds,
+        );
         // Allow generous slack for CI noise; threads should at least not
         // be slower than single-threaded.
-        assert!(
-            t4.seconds < t1.seconds * 1.2,
-            "{}T {} vs 1T {}",
-            cores.min(4),
-            t4.seconds,
-            t1.seconds
-        );
+        assert!(tn < t1 * 1.2, "{threads}T {tn} vs 1T {t1}");
     }
 }

@@ -9,10 +9,11 @@
 //!
 //! **Lane gate** — the Atlas 64-sample RK4/ABA rollout batch through
 //! the lane-major SoA path must deliver **≥ 1.8x per-sample throughput
-//! at lane width 4 vs lane width 1** on a single executor (pure
-//! SIMD/ILP win, no threading), with lane trajectories bit-identical to
-//! the scalar rollout — and the lane-group `BatchEval` dispatch must
-//! stay bit-identical at every worker count.
+//! at lane width 4 vs the scalar rollout** (`rk4_rollout_into`, one
+//! sample at a time, the path lane groups replace) on a single executor
+//! (pure SIMD/ILP win, no threading), with lane trajectories
+//! bit-identical to the scalar rollout — and the lane-group `BatchEval`
+//! dispatch must stay bit-identical at every worker count.
 //!
 //! On hosts with fewer cores both speedup assertions are skipped (exit
 //! 0 after the correctness checks) unless `RBD_SCALING_STRICT=1`
@@ -141,19 +142,19 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Lane speedup: per-sample rollout throughput at lane width 4 vs 1
-    // on a single executor (same sample count both ways, so the median
-    // ratio IS the per-sample throughput ratio).
-    let lane1 = lane_rollout_median::<1>(&model);
+    // Lane speedup: per-sample rollout throughput at lane width 4 vs
+    // the scalar rollout on a single executor (same sample count both
+    // ways, so the median ratio IS the per-sample throughput ratio).
+    let scalar = scalar_rollout_median(&model);
     let lane4 = lane_rollout_median::<4>(&model);
     println!(
-        "atlas rollout batch64 @ lane1: median {}, @ lane4: median {}",
-        fmt_ns(lane1),
+        "atlas rollout batch64 @ scalar: median {}, @ lane4: median {}",
+        fmt_ns(scalar),
         fmt_ns(lane4)
     );
-    let lane_speedup = lane1 / lane4;
+    let lane_speedup = scalar / lane4;
     println!(
-        "lane4 vs lane1 per-sample rollout throughput: {lane_speedup:.2}x \
+        "lane4 vs scalar per-sample rollout throughput: {lane_speedup:.2}x \
          (required ≥ {min_lane_speedup:.2}x)"
     );
     if lane_speedup < min_lane_speedup {
@@ -189,6 +190,40 @@ fn lane_states<const K: usize>(model: &RobotModel) -> Vec<(Vec<f64>, Vec<f64>)> 
 fn lane_controls<const K: usize>(model: &RobotModel) -> Vec<f64> {
     let hn = LANE_HORIZON * model.nv();
     (0..K * hn).map(|i| 0.3 - 0.002 * (i % hn) as f64).collect()
+}
+
+/// Median latency of the full 64-sample rollout batch through the
+/// scalar `rk4_rollout_into`, one sample at a time.
+fn scalar_rollout_median(model: &RobotModel) -> f64 {
+    let (nq, nv) = (model.nq(), model.nv());
+    let mut ws = DynamicsWorkspace::new(model);
+    let mut rs = RolloutScratch::for_model(model);
+    let states: Vec<_> = (0..LANE_SAMPLES)
+        .map(|i| random_state(model, i as u64))
+        .collect();
+    let us = lane_controls::<1>(model);
+    let mut q_traj = vec![0.0; (LANE_HORIZON + 1) * nq];
+    let mut qd_traj = vec![0.0; (LANE_HORIZON + 1) * nv];
+    let mut group = Bench::new("lanes").quiet();
+    let e = group.bench("rollout_scalar", || {
+        for s in &states {
+            rk4_rollout_into(
+                model,
+                &mut ws,
+                &mut rs,
+                &s.q,
+                &s.qd,
+                &us,
+                LANE_HORIZON,
+                LANE_DT,
+                &mut q_traj,
+                &mut qd_traj,
+            )
+            .unwrap();
+        }
+        std::hint::black_box(&q_traj);
+    });
+    e.median_ns
 }
 
 /// Median latency of the full 64-sample rollout batch at lane width `K`

@@ -77,7 +77,7 @@ pub fn forward_dynamics_into(
     Ok(())
 }
 
-/// Result of [`fd_derivatives`] / [`fd_derivatives_with_minv`].
+/// Result of [`fd_derivatives`] / [`fd_derivatives_with_minv_into`].
 #[derive(Debug, Clone, Default)]
 pub struct FdDerivatives {
     /// `∂q̈/∂q` (tangent space), `nv × nv`.
@@ -172,28 +172,8 @@ pub fn fd_derivatives_into(
 /// `∂_u q̈ = ΔiFD(q, q̇, q̈, M⁻¹, f_ext)`, Table I last row. This is the
 /// function Robomorphic accelerates and the workload of Fig 16.
 ///
-/// # Panics
-/// Panics on dimension mismatches.
-pub fn fd_derivatives_with_minv(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    qdd: &[f64],
-    minv: MatN,
-    fext: Option<&[ForceVec]>,
-) -> FdDerivatives {
-    assert_eq!(minv.rows(), model.nv());
-    let mut out = FdDerivatives::zeros(model.nv());
-    out.dqdd_dtau = minv;
-    out.qdd.copy_from_slice(qdd);
-    difd_core_into(model, ws, q, qd, fext, &mut out, false);
-    out
-}
-
-/// [`fd_derivatives_with_minv`] into caller-reused output storage (the
-/// supplied `M⁻¹` is copied into `out.dqdd_dtau`): zero heap allocation
-/// in steady state.
+/// Writes into caller-reused output storage (the supplied `M⁻¹` is
+/// copied into `out.dqdd_dtau`): zero heap allocation in steady state.
 ///
 /// # Panics
 /// Panics on dimension mismatches.
@@ -411,38 +391,12 @@ mod tests {
             .unwrap()
             .minv
             .unwrap();
-        let difd = fd_derivatives_with_minv(&model, &mut ws, &s.q, &s.qd, &full.qdd, minv, None);
+        let mut difd = FdDerivatives::zeros(0);
+        fd_derivatives_with_minv_into(
+            &model, &mut ws, &s.q, &s.qd, &full.qdd, &minv, None, &mut difd,
+        );
         assert!((&full.dqdd_dq - &difd.dqdd_dq).max_abs() < 1e-10);
         assert!((&full.dqdd_dqd - &difd.dqdd_dqd).max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn with_minv_into_matches_by_value_variant() {
-        let model = robots::atlas();
-        let mut ws = DynamicsWorkspace::new(&model);
-        let s = random_state(&model, 12);
-        let tau: Vec<f64> = (0..model.nv()).map(|k| 0.1 * k as f64 - 0.5).collect();
-        let full = fd_derivatives(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap();
-        let minv = mminv_gen(&model, &mut ws, &s.q, false, true)
-            .unwrap()
-            .minv
-            .unwrap();
-        let by_value =
-            fd_derivatives_with_minv(&model, &mut ws, &s.q, &s.qd, &full.qdd, minv.clone(), None);
-        let mut reused = FdDerivatives::zeros(0);
-        fd_derivatives_with_minv_into(
-            &model,
-            &mut ws,
-            &s.q,
-            &s.qd,
-            &full.qdd,
-            &minv,
-            None,
-            &mut reused,
-        );
-        assert_eq!((&by_value.dqdd_dq - &reused.dqdd_dq).max_abs(), 0.0);
-        assert_eq!((&by_value.dqdd_dqd - &reused.dqdd_dqd).max_abs(), 0.0);
-        assert_eq!((&by_value.dqdd_dtau - &reused.dqdd_dtau).max_abs(), 0.0);
     }
 
     #[test]
@@ -458,7 +412,8 @@ mod tests {
         let minv = MatN::from_fn(nv, nv, |i, j| {
             1.0 / (1.0 + (i + 2 * j) as f64) + if i == j { 2.0 } else { 0.0 }
         });
-        let d = fd_derivatives_with_minv(&model, &mut ws, &s.q, &s.qd, &qdd, minv.clone(), None);
+        let mut d = FdDerivatives::zeros(0);
+        fd_derivatives_with_minv_into(&model, &mut ws, &s.q, &s.qd, &qdd, &minv, None, &mut d);
         let did = crate::rnea_derivatives(&model, &mut ws, &s.q, &s.qd, &qdd, None);
         let mut expect_dq = minv.mul_mat(&did.dtau_dq);
         expect_dq.scale(-1.0);

@@ -28,6 +28,19 @@
 //! groups with a scalar fallback for the remainder, and the result is
 //! indistinguishable from the serial scalar loop.
 //!
+//! # Instruction-set dispatch
+//!
+//! Each lane kernel has one portable body and an AVX2-compiled clone of
+//! the same code. [`LaneWorkspace::new`] records [`Isa::detect`], and
+//! the three entry points above `match` on it once per call (the rollout
+//! runs its whole horizon, inner ABA sweeps included, in the chosen
+//! clone). The per-lane op sequences do not change — IEEE f64
+//! arithmetic is the same at any vector width and no FMA is contracted
+//! — so both clones give the same bits; only the codegen widens from
+//! the baseline 2-wide SSE2 to 4-wide registers. The unit tests below
+//! run every kernel on each of [`Isa::host_all`], so the portable clone
+//! is checked on AVX2 hosts too.
+//!
 //! # Memory layout
 //!
 //! Flat state batches are **lane-major**: `K` configurations are one
@@ -59,6 +72,7 @@
 //! }
 //! ```
 
+use crate::isa::Isa;
 use crate::workspace::DynamicsWorkspace;
 use crate::DynamicsError;
 use rbd_model::{integrate_config_into, RobotModel};
@@ -115,6 +129,10 @@ pub struct LaneWorkspace<const K: usize> {
     /// (`None` for non-revolute joints, which fall back to per-lane
     /// scalar `child_xform` calls).
     rev_const: Vec<Option<RevoluteLaneConst>>,
+    /// Instruction set the lane kernels run on: [`Isa::detect`] at
+    /// construction. Private, since the kernels dispatch `unsafe` on it;
+    /// the unit tests below override it to run every clone.
+    isa: Isa,
 }
 
 /// Constants of one revolute joint's lane kinematics: the Rodrigues
@@ -193,6 +211,7 @@ impl<const K: usize> LaneWorkspace<K> {
                     })
                 })
                 .collect(),
+            isa: Isa::detect(),
         }
     }
 
@@ -391,12 +410,7 @@ fn invert_spd_small_lanes<const K: usize>(
 /// of [`crate::rnea_in_ws`] without external forces). Inputs are flat
 /// lane-major slices (`q`: `K·nq`, `qd`/`qdd`: `K·nv`); the torques
 /// land in [`LaneWorkspace::tau_lanes`]. Zero steady-state allocation.
-///
-/// On x86-64 hosts with AVX2 the sweep dispatches to an AVX2-compiled
-/// clone of the identical code (runtime-detected): the per-lane op
-/// sequences are unchanged — IEEE f64 arithmetic is the same at any
-/// vector width — so outputs stay bit-identical; only the codegen
-/// widens from the baseline 2-wide SSE2 to 4-wide registers.
+/// Runs on the workspace's [`Isa`] (see the module docs).
 ///
 /// # Panics
 /// Panics on dimension mismatches.
@@ -408,17 +422,15 @@ pub fn rnea_lanes_in_ws<const K: usize>(
     qdd: &[f64],
     gravity_scale: f64,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just verified at runtime.
-        unsafe { rnea_lanes_avx2(model, lws, q, qd, qdd, gravity_scale) };
-        return;
+    match lws.isa {
+        // SAFETY: `Avx2` is only produced after AVX2 was detected at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { rnea_lanes_avx2(model, lws, q, qd, qdd, gravity_scale) },
+        Isa::Portable => rnea_lanes_impl(model, lws, q, qd, qdd, gravity_scale),
     }
-    rnea_lanes_impl(model, lws, q, qd, qdd, gravity_scale);
 }
 
-/// AVX2-compiled clone of [`rnea_lanes_impl`] (see the dispatcher's
-/// bit-identity note).
+/// AVX2-compiled clone of [`rnea_lanes_impl`].
 ///
 /// # Safety
 /// The caller must have verified AVX2 support at runtime.
@@ -497,9 +509,8 @@ fn rnea_lanes_impl<const K: usize>(
 /// Lane-batched O(n) forward dynamics: `K` articulated-body sweeps in
 /// lockstep (mirror of [`crate::aba_in_ws`] without external forces).
 /// Inputs are flat lane-major slices; the accelerations land in
-/// [`LaneWorkspace::qdd_lanes`]. Zero steady-state allocation. AVX2
-/// hosts take a runtime-dispatched AVX2-compiled clone with
-/// bit-identical outputs (see [`rnea_lanes_in_ws`]).
+/// [`LaneWorkspace::qdd_lanes`]. Zero steady-state allocation. Runs on
+/// the workspace's [`Isa`] (see the module docs).
 ///
 /// # Errors
 /// Returns [`DynamicsError::SingularMassMatrix`] when any lane's
@@ -514,16 +525,15 @@ pub fn forward_dynamics_aba_lanes_in_ws<const K: usize>(
     qd: &[f64],
     tau: &[f64],
 ) -> Result<(), DynamicsError> {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just verified at runtime.
-        return unsafe { fd_aba_lanes_avx2(model, lws, q, qd, tau) };
+    match lws.isa {
+        // SAFETY: `Avx2` is only produced after AVX2 was detected at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { fd_aba_lanes_avx2(model, lws, q, qd, tau) },
+        Isa::Portable => fd_aba_lanes_impl(model, lws, q, qd, tau),
     }
-    fd_aba_lanes_impl(model, lws, q, qd, tau)
 }
 
-/// AVX2-compiled clone of [`fd_aba_lanes_impl`] (bit-identical; see
-/// [`rnea_lanes_in_ws`]).
+/// AVX2-compiled clone of [`fd_aba_lanes_impl`].
 ///
 /// # Safety
 /// The caller must have verified AVX2 support at runtime.
@@ -864,7 +874,7 @@ impl LaneRolloutScratch {
 /// same `integrate_config_into` manifold steps, the ABA stages through
 /// the lockstep lane sweep): lane `l`'s trajectory is bit-identical to
 /// the scalar rollout of lane `l`'s inputs. Zero steady-state
-/// allocation.
+/// allocation. Runs on the workspace's [`Isa`] (see the module docs).
 ///
 /// # Errors
 /// Propagates a singular joint-space block from any lane/stage.
@@ -884,24 +894,24 @@ pub fn rk4_rollout_lanes_into<const K: usize>(
     q_traj: &mut [f64],
     qd_traj: &mut [f64],
 ) -> Result<(), DynamicsError> {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just verified at runtime.
-        return unsafe {
+    match lws.isa {
+        // SAFETY: `Avx2` is only produced after AVX2 was detected at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe {
             rk4_rollout_lanes_avx2(
                 model, lws, scratch, q0, qd0, us, horizon, dt, q_traj, qd_traj,
             )
-        };
+        },
+        Isa::Portable => rk4_rollout_lanes_impl(
+            model, lws, scratch, q0, qd0, us, horizon, dt, q_traj, qd_traj,
+        ),
     }
-    rk4_rollout_lanes_impl(
-        model, lws, scratch, q0, qd0, us, horizon, dt, q_traj, qd_traj,
-    )
 }
 
-/// AVX2-compiled clone of [`rk4_rollout_lanes_impl`] (bit-identical;
-/// see [`rnea_lanes_in_ws`]). The whole rollout — stage arithmetic and
-/// the inner lane ABA sweeps — compiles in one AVX2 context, so the
-/// per-call feature dispatch happens once per rollout, not per stage.
+/// AVX2-compiled clone of [`rk4_rollout_lanes_impl`]. The whole rollout
+/// — stage arithmetic and the inner lane ABA sweeps — compiles in one
+/// AVX2 context, so the dispatch happens once per rollout, not per
+/// stage.
 ///
 /// # Safety
 /// The caller must have verified AVX2 support at runtime.
@@ -1049,4 +1059,96 @@ fn rk4_rollout_lanes_impl<const K: usize>(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rbd_model::{random_state, robots};
+
+    /// Every lane kernel on every instruction set this host runs —
+    /// `Portable` included on AVX2 hosts — equals the scalar kernel
+    /// lane by lane with `==`.
+    #[test]
+    fn every_isa_matches_the_scalar_kernels() {
+        const K: usize = 4;
+        const HORIZON: usize = 4;
+        const DT: f64 = 0.01;
+        for model in [robots::iiwa(), robots::hyq(), robots::atlas()] {
+            let (nq, nv) = (model.nq(), model.nv());
+            let states: Vec<_> = (0..K)
+                .map(|l| random_state(&model, 40 + l as u64))
+                .collect();
+            let q: Vec<f64> = states.iter().flat_map(|s| s.q.clone()).collect();
+            let qd: Vec<f64> = states.iter().flat_map(|s| s.qd.clone()).collect();
+            let u: Vec<f64> = (0..K * nv).map(|i| 0.3 - 0.02 * i as f64).collect();
+            let us: Vec<f64> = (0..K * HORIZON * nv)
+                .map(|i| 0.2 - 0.001 * i as f64)
+                .collect();
+            let (qn, qdn) = ((HORIZON + 1) * nq, (HORIZON + 1) * nv);
+
+            // Scalar references, lane by lane.
+            let mut ws = DynamicsWorkspace::new(&model);
+            let mut rs = RolloutScratch::for_model(&model);
+            let (mut tau_ref, mut qdd_ref) = (vec![0.0; K * nv], vec![0.0; K * nv]);
+            let (mut q_ref, mut qd_ref) = (vec![0.0; K * qn], vec![0.0; K * qdn]);
+            for (l, s) in states.iter().enumerate() {
+                let ul = &u[l * nv..][..nv];
+                crate::rnea_in_ws(&model, &mut ws, &s.q, &s.qd, ul, None, 1.0);
+                tau_ref[l * nv..][..nv].copy_from_slice(&ws.tau);
+                let qdd_l = &mut qdd_ref[l * nv..][..nv];
+                crate::aba_in_ws(&model, &mut ws, &s.q, &s.qd, ul, None, qdd_l).unwrap();
+                rk4_rollout_into(
+                    &model,
+                    &mut ws,
+                    &mut rs,
+                    &s.q,
+                    &s.qd,
+                    &us[l * HORIZON * nv..][..HORIZON * nv],
+                    HORIZON,
+                    DT,
+                    &mut q_ref[l * qn..][..qn],
+                    &mut qd_ref[l * qdn..][..qdn],
+                )
+                .unwrap();
+            }
+
+            let mut lrs = LaneRolloutScratch::for_model(&model, K);
+            let mut lane_out = vec![0.0; K * nv];
+            let (mut q_traj, mut qd_traj) = (vec![0.0; K * qn], vec![0.0; K * qdn]);
+            for isa in Isa::host_all() {
+                let tag = format!("{} {isa:?}", model.name());
+                let mut lws = LaneWorkspace::<K>::new(&model);
+                lws.isa = isa;
+                rnea_lanes_in_ws(&model, &mut lws, &q, &qd, &u, 1.0);
+                for (d, lanes) in lws.tau_lanes().iter().enumerate() {
+                    for (l, &x) in lanes.iter().enumerate() {
+                        lane_out[l * nv + d] = x;
+                    }
+                }
+                assert_eq!(lane_out, tau_ref, "{tag} RNEA");
+                lane_out.fill(f64::NAN);
+                forward_dynamics_aba_lanes_in_ws(&model, &mut lws, &q, &qd, &u).unwrap();
+                lws.scatter_qdd(&mut lane_out);
+                assert_eq!(lane_out, qdd_ref, "{tag} ABA");
+                q_traj.fill(f64::NAN);
+                qd_traj.fill(f64::NAN);
+                rk4_rollout_lanes_into(
+                    &model,
+                    &mut lws,
+                    &mut lrs,
+                    &q,
+                    &qd,
+                    &us,
+                    HORIZON,
+                    DT,
+                    &mut q_traj,
+                    &mut qd_traj,
+                )
+                .unwrap();
+                assert_eq!(q_traj, q_ref, "{tag} rollout q");
+                assert_eq!(qd_traj, qd_ref, "{tag} rollout qd");
+            }
+        }
+    }
 }

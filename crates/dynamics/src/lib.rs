@@ -9,7 +9,7 @@
 //! | Inverse mass matrix | `M⁻¹ = Minv(q)` | [`mminv_gen`] |
 //! | Derivatives of ID | `∂_u τ = ΔID(…)` | [`rnea_derivatives`] |
 //! | Derivatives of FD | `∂_u q̈ = ΔFD(…)` | [`fd_derivatives`] |
-//! | Derivatives of dynamics | `∂_u q̈ = ΔiFD(…, M⁻¹)` | [`fd_derivatives_with_minv`] |
+//! | Derivatives of dynamics | `∂_u q̈ = ΔiFD(…, M⁻¹)` | [`fd_derivatives_with_minv_into`] |
 //!
 //! The crate plays the role Pinocchio plays in the paper's evaluation: the
 //! software baseline *and* the functional reference against which the
@@ -58,6 +58,14 @@
 //! slots, so the result is bit-identical to the serial loop for any
 //! worker count.
 //!
+//! # Instruction-set dispatch
+//!
+//! The hand-vectorized kernels — the K-lane sweeps of [`lanes`] here,
+//! the RK4 sensitivity chain and Riccati products in `rbd-trajopt` —
+//! pick their instruction set through one enum, [`Isa`]: a portable
+//! body and an AVX2 clone of the same code, bit-identical to each other.
+//! [`Isa::detect`] is the only runtime CPU check.
+//!
 //! # Example
 //!
 //! ```
@@ -83,10 +91,11 @@ pub mod energy;
 pub mod fd;
 pub mod finite_diff;
 pub mod idsva;
-pub mod jacobian;
+pub mod isa;
 pub mod lanes;
 pub mod mminv;
-pub mod momentum;
+#[cfg(test)]
+mod momentum;
 mod pool;
 pub mod rnea;
 pub mod workspace;
@@ -97,19 +106,18 @@ pub use crba::{crba, crba_into};
 pub use derivatives::{rnea_derivatives, rnea_derivatives_expansion_into, RneaDerivatives};
 pub use energy::{kinetic_energy, potential_energy, total_energy};
 pub use fd::{
-    fd_derivatives, fd_derivatives_into, fd_derivatives_with_minv, fd_derivatives_with_minv_into,
-    forward_dynamics, forward_dynamics_into, FdDerivatives,
+    fd_derivatives, fd_derivatives_into, fd_derivatives_with_minv_into, forward_dynamics,
+    forward_dynamics_into, FdDerivatives,
 };
 pub use finite_diff::{fd_derivatives_numeric, rnea_derivatives_numeric};
 pub use idsva::rnea_derivatives_into;
-pub use jacobian::{body_jacobian_world, body_position_world, point_velocity_world};
+pub use isa::Isa;
 pub use lanes::{
     forward_dynamics_aba_lanes_in_ws, rk4_rollout_into, rk4_rollout_lanes_into, rk4_step_aba_into,
     rnea_lanes_in_ws, LaneRolloutScratch, LaneWorkspace, RolloutScratch, LANE_WIDTH,
 };
 pub use mminv::{mminv_gen, mminv_gen_into, MMinvOutput};
-pub use momentum::{center_of_mass, spatial_momentum, total_mass};
-pub use rnea::{bias_force, bias_force_in_ws, rnea, rnea_in_ws, rnea_with_gravity_scale};
+pub use rnea::{bias_force_in_ws, rnea, rnea_in_ws, rnea_with_gravity_scale};
 pub use workspace::DynamicsWorkspace;
 
 /// Error type for dynamics computations that can fail (singular mass

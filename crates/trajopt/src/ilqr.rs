@@ -5,9 +5,8 @@
 //! covers the fixed-base arms the optimizer examples use.
 
 use crate::integrator::{rk4_step_with_sensitivity_into, Rk4SensScratch, StepJacobians};
-use crate::isa::Isa;
 use rbd_dynamics::{
-    rk4_step_aba_into, BatchEval, DynamicsError, DynamicsWorkspace, RolloutScratch,
+    rk4_step_aba_into, BatchEval, DynamicsError, DynamicsWorkspace, Isa, RolloutScratch,
 };
 use rbd_model::RobotModel;
 use rbd_spatial::matn::FactorizationError;
@@ -397,7 +396,7 @@ fn tr_mul_into(isa: Isa, x: &MatN, y: &MatN, out: &mut MatN) {
     match isa {
         // SAFETY: `Avx2` is only produced after AVX2 was detected at runtime.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { tr_mul_avx2(x, y, out) },
+        Isa::Avx2 { .. } => unsafe { tr_mul_avx2(x, y, out) },
         Isa::Portable => tr_mul_impl(x, y, out),
     }
 }
@@ -1074,6 +1073,84 @@ mod tests {
                 goal[i]
             );
         }
+    }
+
+    /// ∞-norm distance of `q` to `goal`.
+    fn goal_error(q: &[f64], goal: &[f64]) -> f64 {
+        q.iter()
+            .zip(goal)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0_f64, f64::max)
+    }
+
+    /// Receding-horizon options of the closed-loop tests.
+    fn mpc_options() -> IlqrOptions {
+        IlqrOptions {
+            horizon: 20,
+            max_iters: 6,
+            dt: 0.02,
+            w_terminal: 120.0,
+            ..IlqrOptions::default()
+        }
+    }
+
+    #[test]
+    fn closed_loop_reaches_goal() {
+        // Classical MPC: re-solve every tick, apply the first control to
+        // the RK4 plant.
+        let model = robots::serial_chain(2);
+        let goal = vec![0.4, -0.3];
+        let opts = mpc_options();
+        let mut solver = Ilqr::new(&model, goal.clone(), opts);
+        let mut ws = DynamicsWorkspace::new(&model);
+        let (mut q, mut qd) = (vec![0.0, 0.0], vec![0.0, 0.0]);
+        for _ in 0..25 {
+            let u = solver.solve(&q, &qd).us[0].clone();
+            (q, qd) = rk4_step(&model, &mut ws, &q, &qd, &u, opts.dt);
+        }
+        let final_error = goal_error(&q, &goal);
+        assert!(
+            final_error < 0.2,
+            "closed loop did not approach the goal: err {final_error}"
+        );
+    }
+
+    #[test]
+    fn closed_loop_beats_open_loop_under_disturbance() {
+        // Apply the first tick's plan open-loop vs re-planning: with a
+        // velocity disturbance injected mid-run, MPC ends closer.
+        let model = robots::serial_chain(2);
+        let goal = vec![0.5, 0.2];
+        let opts = mpc_options();
+
+        // Open loop: one solve, roll out its controls with a disturbance.
+        let mut solver = Ilqr::new(&model, goal.clone(), opts);
+        let sol = solver.solve(&[0.0, 0.0], &[0.0, 0.0]);
+        let mut ws = DynamicsWorkspace::new(&model);
+        let (mut q, mut qd) = (vec![0.0, 0.0], vec![0.0, 0.0]);
+        for (k, u) in sol.us.iter().enumerate().take(20) {
+            if k == 8 {
+                qd[0] += 1.5; // kick
+            }
+            (q, qd) = rk4_step(&model, &mut ws, &q, &qd, u, opts.dt);
+        }
+        let open_err = goal_error(&q, &goal);
+
+        // Closed loop with the same kick.
+        let (mut qc, mut qdc) = (vec![0.0, 0.0], vec![0.0, 0.0]);
+        for k in 0..20 {
+            if k == 8 {
+                qdc[0] += 1.5;
+            }
+            let u = solver.solve(&qc, &qdc).us[0].clone();
+            (qc, qdc) = rk4_step(&model, &mut ws, &qc, &qdc, &u, opts.dt);
+        }
+        let closed_err = goal_error(&qc, &goal);
+
+        assert!(
+            closed_err < open_err + 1e-9,
+            "closed {closed_err} vs open {open_err}"
+        );
     }
 
     #[test]

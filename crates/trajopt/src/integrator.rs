@@ -5,8 +5,7 @@
 //! *serial* ΔFD calls, while steps at different sampling points are
 //! independent.
 
-use crate::isa::Isa;
-use rbd_dynamics::{fd_derivatives_into, DynamicsWorkspace, FdDerivatives};
+use rbd_dynamics::{fd_derivatives_into, DynamicsWorkspace, FdDerivatives, Isa};
 use rbd_model::{integrate_config, integrate_config_into, RobotModel};
 use rbd_spatial::MatN;
 
@@ -29,24 +28,6 @@ impl StepJacobians {
             b: MatN::zeros(2 * nv, nv),
         }
     }
-}
-
-/// One semi-implicit Euler step: `q̇⁺ = q̇ + h·FD`, `q⁺ = q ⊕ h·q̇⁺`.
-///
-/// # Panics
-/// Panics if forward dynamics fails (singular mass matrix).
-pub fn semi_implicit_euler_step(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    tau: &[f64],
-    h: f64,
-) -> (Vec<f64>, Vec<f64>) {
-    let qdd = rbd_dynamics::forward_dynamics(model, ws, q, qd, tau, None).expect("fd");
-    let qd_new: Vec<f64> = qd.iter().zip(&qdd).map(|(v, a)| v + h * a).collect();
-    let q_new = integrate_config(model, q, &qd_new, h);
-    (q_new, qd_new)
 }
 
 /// One classical RK4 step on the configuration manifold.
@@ -346,7 +327,7 @@ fn sens_chain(
     match isa {
         // SAFETY: `Avx2` is only produced after AVX2 was detected at runtime.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { sens_chain_avx2(h, d, c, jac) },
+        Isa::Avx2 { .. } => unsafe { sens_chain_avx2(h, d, c, jac) },
         Isa::Portable => sens_chain_impl(h, d, c, jac),
     }
 }
@@ -796,7 +777,7 @@ mod dense_reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbd_dynamics::total_energy;
+    use rbd_dynamics::{forward_dynamics, total_energy};
     use rbd_model::{random_state, robots};
 
     /// The six bit-identity models: every `nv % 4` tail (iiwa 7, HyQ 18,
@@ -1003,13 +984,14 @@ mod tests {
             let mut ws = DynamicsWorkspace::new(&model);
             let (mut q, mut qd) = (s.q.clone(), s.qd.clone());
             for _ in 0..steps {
-                let (qn, qdn) = if rk4 {
-                    rk4_step(&model, &mut ws, &q, &qd, &tau, h)
+                if rk4 {
+                    (q, qd) = rk4_step(&model, &mut ws, &q, &qd, &tau, h);
                 } else {
-                    semi_implicit_euler_step(&model, &mut ws, &q, &qd, &tau, h)
-                };
-                q = qn;
-                qd = qdn;
+                    // Semi-implicit Euler: q̇⁺ = q̇ + h·FD, q⁺ = q ⊕ h·q̇⁺.
+                    let qdd = forward_dynamics(&model, &mut ws, &q, &qd, &tau, None).unwrap();
+                    qd = qd.iter().zip(&qdd).map(|(v, a)| v + h * a).collect();
+                    q = integrate_config(&model, &q, &qd, h);
+                }
             }
             (total_energy(&model, &mut ws, &q, &qd) - e0).abs()
         };

@@ -495,18 +495,6 @@ fn roll_group(
     }
 }
 
-/// Wall-clock profile of one steady-state MPPI iteration (the
-/// sampling-MPC sibling of `profile_mpc_iteration`): constructs the
-/// controller, runs one warm-up iteration so every buffer is sized,
-/// then reports the timed second iteration.
-pub fn profile_mppi_iteration(model: &RobotModel, opts: MppiOptions, threads: usize) -> MppiStep {
-    let mut mppi = Mppi::with_threads(model, opts, threads);
-    let q0 = model.neutral_config();
-    let qd0 = vec![0.0; model.nv()];
-    mppi.iterate(&q0, &qd0);
-    mppi.iterate(&q0, &qd0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,16 +631,18 @@ mod tests {
 
     #[test]
     fn profile_reports_positive_phases() {
+        // One warm-up iteration sizes every buffer; the second is timed.
         let model = robots::iiwa();
-        let step = profile_mppi_iteration(
-            &model,
-            MppiOptions {
-                samples: 8,
-                horizon: 2,
-                ..Default::default()
-            },
-            2,
-        );
+        let opts = MppiOptions {
+            samples: 8,
+            horizon: 2,
+            ..Default::default()
+        };
+        let mut mppi = Mppi::with_threads(&model, opts, 2);
+        let q0 = model.neutral_config();
+        let qd0 = vec![0.0; model.nv()];
+        mppi.iterate(&q0, &qd0);
+        let step = mppi.iterate(&q0, &qd0);
         assert!(step.rollout_s > 0.0);
         assert!(step.total_s() >= step.rollout_s);
         assert!(step.batch_threads >= 1);
